@@ -30,7 +30,7 @@ from .experiments import (
     theory_check,
 )
 from .sampling import SAMPLER_KINDS
-from .solvers import METHODS
+from .solvers import METHODS, DivergenceError, LocalSolveError
 
 
 def _add_problem_args(p, trials_default=10):
@@ -195,7 +195,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DivergenceError, LocalSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,18 @@ support set), together with a metric operator A.  Each subspace carries
 its Galerkin local matrix ``A_i = P_i^T A P_i`` and a local Lipschitz
 constant used for step sizes and sampling weights.
 
+A :class:`Decomposition` stores the family in flat arrays, so the
+multilevel hats cost O(n log n) time and memory; :class:`Subspace` is
+the per-subspace view.  Energies under a tridiagonal operator come from
+its bands, which are never densified.
+
 Index convention: all supports, basis rows, and subspace indices are
 0-based throughout the package.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,7 +25,6 @@ import scipy.linalg as sla
 from .linalg import (
     DENSE_EIG_LIMIT,
     DimensionMismatchError,
-    NotSpdError,
     SpdOperator,
     a_norm,
     as_vector,
@@ -41,21 +47,44 @@ __all__ = [
 ]
 
 
-def _metric_window(m, support):
-    """Dense submatrix ``m[support, support]`` for operator or array ``m``."""
-    if isinstance(m, SpdOperator):
-        if m.is_banded:
-            d, e = m.bands
-            w = np.diag(d[support])
-            if support.size > 1:
-                adj = np.where(np.diff(support) == 1)[0]
-                w[adj, adj + 1] = e[support[adj]]
-                w[adj + 1, adj] = e[support[adj]]
-            return w
-        m = m.dense()
-    else:
-        m = np.asarray(m, dtype=np.float64)
-    return m[np.ix_(support, support)]
+def _galerkin(m, support, basis):
+    """``B^T M[S, S] B`` as a dense (k, k) array; banded M stays banded."""
+    if isinstance(m, SpdOperator) and m.is_banded:
+        d, e = m.bands
+        out = basis.T @ (d[support, None] * basis)
+        p = np.flatnonzero(np.diff(support) == 1)
+        cross = basis[p].T @ (e[support[p], None] * basis[p + 1])
+        return out + (cross + cross.T)
+    m = m.dense() if isinstance(m, SpdOperator) else np.asarray(m, dtype=np.float64)
+    return basis.T @ m[np.ix_(support, support)] @ basis
+
+
+def _energies(m, offsets, rows, vals):
+    """``v^T M v`` for each run ``offsets[i]:offsets[i+1]`` of (rows, vals).
+
+    Two segment sums over the bands for tridiagonal M, else one dense
+    Galerkin product per run.
+    """
+    starts = offsets[:-1]
+    if not (isinstance(m, SpdOperator) and m.is_banded):
+        runs = zip(starts.tolist(), offsets[1:].tolist())
+        return np.array(
+            [_galerkin(m, rows[a:b], vals[a:b, None])[0, 0] for a, b in runs]
+        )
+    d, e = m.bands
+    pair = np.diff(rows) == 1
+    pair[offsets[1:-1] - 1] = False  # no pairs across runs
+    p = np.flatnonzero(pair)
+    cross = np.zeros(rows.size)
+    cross[p] = e[rows[p]] * (vals[p] * vals[p + 1])
+    out = np.add.reduceat(d[rows] * (vals * vals), starts)
+    return out + 2.0 * np.add.reduceat(cross, starts)
+
+
+def _frozen(a, dtype):
+    a = np.asarray(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 class Subspace:
@@ -80,16 +109,17 @@ class Subspace:
         Grid level for multilevel constructions (finest = largest);
         0 for flat families like coordinates and blocks.
 
-    Instances are treated as immutable.
+    Instances are treated as immutable; the views a Decomposition hands
+    out share its arrays.
     """
 
     __slots__ = (
         "ambient_dimension",
         "support",
         "basis",
-        "local_matrix",
         "local_lipschitz",
         "level",
+        "_local",
         "_scalar",
     )
 
@@ -133,11 +163,27 @@ class Subspace:
         self.ambient_dimension = int(ambient_dimension)
         self.support = support
         self.basis = basis
-        self.local_matrix = local_matrix
+        self._local = local_matrix
         self.local_lipschitz = float(local_lipschitz)
         self.level = int(level)
         # Scalar fast path for one-dimensional subspaces.
         self._scalar = float(local_matrix.dense()[0, 0]) if k == 1 else None
+
+    @classmethod
+    def _view(cls, n, support, basis, scalar, local, lipschitz, level):
+        """Unvalidated view on arrays a Decomposition already holds."""
+        s = object.__new__(cls)
+        s.ambient_dimension, s.support, s.basis = n, support, basis
+        s.local_lipschitz, s.level, s._local = lipschitz, level, local
+        s._scalar = scalar if local is None else None
+        return s
+
+    @property
+    def local_matrix(self):
+        """The k-by-k local SPD matrix (built on first use in k = 1 views)."""
+        if self._local is None:
+            self._local = SpdOperator.from_dense([[self._scalar]])
+        return self._local
 
     @property
     def dimension(self):
@@ -172,22 +218,15 @@ class Subspace:
         p[self.support, :] = self.basis
         return p
 
+    def galerkin(self, operator):
+        """``P_i^T M P_i`` as a dense (k, k) array, for any symmetric M."""
+        return _galerkin(operator, self.support, self.basis)
+
     def solve_local(self, v):
         """Solve ``A_i w = v`` in the local matrix."""
         if self._scalar is not None:
             return np.atleast_1d(np.asarray(v, dtype=np.float64)) / self._scalar
         return self.local_matrix.solve(v)
-
-    def with_lipschitz(self, value):
-        """Copy of this subspace with a different local Lipschitz constant."""
-        return Subspace(
-            self.ambient_dimension,
-            self.support,
-            self.basis,
-            self.local_matrix,
-            local_lipschitz=value,
-            level=self.level,
-        )
 
     def __repr__(self):
         return (
@@ -197,28 +236,113 @@ class Subspace:
 
 
 class Decomposition:
-    """An ordered family of subspaces sharing a metric operator.
+    """An ordered family of J subspaces sharing an SPD metric.
 
-    The metric (``preconditioner``) is the SPD operator A in which all
-    norms, Galerkin products, and the stability constant are measured.
+    The metric (``preconditioner``) A measures all norms, Galerkin
+    products and the stability constant.  The family is stored flat, in
+    read-only arrays that copies share: subspace i has ``k[i]`` basis
+    columns whose entries on its support are ``vals[offsets[i]:offsets[i+1]]``
+    at rows ``rows[offsets[i]:offsets[i+1]]``, row-major over its
+    strictly increasing support (so with k = 1 the run of ``rows`` is
+    the support).  Its local matrix is ``scalars[i]`` where k = 1 (NaN
+    elsewhere) and the SpdOperator ``blocks[i]`` where k > 1;
+    ``lipschitz[i]`` and ``level[i]`` are its Lipschitz constant and
+    grid level.
+
+    ``Decomposition(subspaces, metric)`` packs :class:`Subspace` objects;
+    ``subspaces`` is a tuple of views, built on first use and cached.
     """
 
     def __init__(self, subspaces, preconditioner):
-        subspaces = tuple(subspaces)
-        if not subspaces:
+        subs = tuple(subspaces)
+        if not subs:
             raise ValueError("decomposition needs at least one subspace")
         n = preconditioner.dimension
-        for s in subspaces:
+        for s in subs:
             if s.ambient_dimension != n:
                 raise DimensionMismatchError(
                     "subspace ambient dimension does not match the metric"
                 )
-        self.subspaces = subspaces
+        self._assign(
+            preconditioner,
+            np.cumsum([0] + [s.basis.size for s in subs]),
+            np.concatenate([np.repeat(s.support, s.dimension) for s in subs]),
+            np.concatenate([s.basis.ravel() for s in subs]),
+            [np.nan if s._scalar is None else s._scalar for s in subs],
+            {i: s.local_matrix for i, s in enumerate(subs) if s._scalar is None},
+            [s.dimension for s in subs],
+            [s.local_lipschitz for s in subs],
+            [s.level for s in subs],
+        )
+        self._subspaces = subs
+
+    @classmethod
+    def _flat(cls, preconditioner, *arrays, **named):
+        d = object.__new__(cls)
+        d._assign(preconditioner, *arrays, **named)
+        return d
+
+    def _assign(
+        self, preconditioner, offsets, rows, vals, scalars,
+        blocks=None, k=None, lipschitz=None, level=None,
+    ):
+        ones = np.ones(len(offsets) - 1)
+        k, level = ones if k is None else k, 0 * ones if level is None else level
         self.preconditioner = preconditioner
-        self._stability = None
+        self.blocks = blocks or {}
+        self.offsets, self.rows, self.k, self.level = (
+            _frozen(a, np.intp) for a in (offsets, rows, k, level)
+        )
+        self.vals, self.scalars, self.lipschitz = (
+            _frozen(a, np.float64)
+            for a in (vals, scalars, ones if lipschitz is None else lipschitz)
+        )
+        self._subspaces = self._stability = self._energies = None
+
+    def _with_lipschitz(self, values):
+        """Copy sharing every array except ``lipschitz``."""
+        out = copy.copy(self)
+        out.lipschitz = _frozen(values, np.float64)
+        out._subspaces = None
+        return out
+
+    @property
+    def subspaces(self):
+        """Tuple of :class:`Subspace` views, built on first use."""
+        if self._subspaces is None:
+            n, o, k = self.ambient_dimension, self.offsets.tolist(), self.k.tolist()
+            scal, lip = self.scalars.tolist(), self.lipschitz.tolist()
+            lev = self.level.tolist()
+            self._subspaces = tuple(
+                Subspace._view(
+                    n, self.rows[o[i] : o[i + 1] : k[i]],
+                    self.vals[o[i] : o[i + 1]].reshape(-1, k[i]),
+                    scal[i], self.blocks.get(i), lip[i], lev[i],
+                )
+                for i in range(len(self))
+            )
+        return self._subspaces
+
+    def local_energies(self, operator):
+        """``P_i^T M P_i`` for every k = 1 subspace (NaN where k > 1).
+
+        Cached for the most recent operator (by identity), so annotating
+        Lipschitz constants and setting up a solver share one pass.
+        """
+        cached = self._energies
+        if cached is not None and cached[0] is operator:
+            return cached[1]
+        if self.blocks:
+            out = np.full(len(self), np.nan)
+            for i in np.flatnonzero(self.k == 1).tolist():
+                out[i] = self[i].galerkin(operator)[0, 0]
+        else:
+            out = _energies(operator, self.offsets, self.rows, self.vals)
+        self._energies = (operator, _frozen(out, np.float64))
+        return out
 
     def __len__(self):
-        return len(self.subspaces)
+        return self.k.size
 
     def __iter__(self):
         return iter(self.subspaces)
@@ -229,11 +353,6 @@ class Decomposition:
     @property
     def ambient_dimension(self):
         return self.preconditioner.dimension
-
-    @property
-    def lipschitz(self):
-        """Vector of local Lipschitz constants (length J)."""
-        return np.array([s.local_lipschitz for s in self.subspaces])
 
     @property
     def mean_lipschitz(self):
@@ -267,12 +386,9 @@ def coordinate_decomposition(n, metric=None):
     metric = SpdOperator.identity(n) if metric is None else metric
     if metric.dimension != n:
         raise DimensionMismatchError("metric dimension does not match n")
-    diag = metric.diagonal()
-    subspaces = [
-        Subspace(n, [i], [[1.0]], SpdOperator.from_dense([[diag[i]]]))
-        for i in range(n)
-    ]
-    return Decomposition(subspaces, metric)
+    return Decomposition._flat(
+        metric, np.arange(n + 1), np.arange(n), np.ones(n), metric.diagonal()
+    )
 
 
 def block_decomposition(partition, metric):
@@ -293,13 +409,13 @@ def block_decomposition(partition, metric):
         (flat < 0) | (flat >= n)
     ):
         raise ValueError("partition must cover {0..n-1} with disjoint blocks")
-    subspaces = []
-    for b in blocks:
-        if b.size == 0:
-            raise ValueError("empty block in partition")
-        local = SpdOperator.from_dense(_metric_window(metric, b))
-        subspaces.append(Subspace(n, b, np.eye(b.size), local))
-    return Decomposition(subspaces, metric)
+    if any(b.size == 0 for b in blocks):
+        raise ValueError("empty block in partition")
+    eyes = [np.eye(b.size) for b in blocks]
+    return Decomposition(
+        [Subspace(n, b, e, _galerkin(metric, b, e)) for b, e in zip(blocks, eyes)],
+        metric,
+    )
 
 
 def multilevel_nodal_decomposition(level, metric=None):
@@ -323,30 +439,21 @@ def multilevel_nodal_decomposition(level, metric=None):
         raise DimensionMismatchError(
             f"metric dimension {metric.dimension} != 2**level - 1 = {n}"
         )
-    bands = metric.bands if metric.is_banded else None
-    subspaces = []
-    for l in range(level, 0, -1):
-        stride = 2 ** (level - l)
-        for j in range(1, 2**l):
-            center = j * stride
-            lo = max(1, center - stride + 1)
-            hi = min(n, center + stride - 1)
-            idx = np.arange(lo, hi + 1)
-            vals = 1.0 - np.abs(idx - center) / stride
-            support = idx - 1
-            if bands is not None:
-                # Hat supports are contiguous, so the energy v'Av needs
-                # only the band entries under the support.
-                energy = bands[0][support] @ (vals * vals)
-                if support.size > 1:
-                    energy += 2.0 * (
-                        bands[1][support[:-1]] @ (vals[:-1] * vals[1:])
-                    )
-            else:
-                energy = vals @ (_metric_window(metric, support) @ vals)
-            local = SpdOperator.from_dense([[float(energy)]])
-            subspaces.append(Subspace(n, support, vals, local, level=l))
-    return Decomposition(subspaces, metric)
+    levels = np.arange(level, 0, -1)
+    strides = 2 ** (level - levels)
+    counts = n // strides
+    rows, vals = [], []
+    for stride in strides.tolist():
+        # Every hat of a level has width 2 * stride - 1: centres never clip.
+        span = np.arange(1 - stride, stride)
+        rows.append((np.arange(stride - 1, n, stride)[:, None] + span).ravel())
+        vals.append(np.tile(1.0 - np.abs(span) / stride, n // stride))
+    offsets = np.concatenate(([0], np.cumsum(np.repeat(2 * strides - 1, counts))))
+    rows, vals = np.concatenate(rows), np.concatenate(vals)
+    scalars = _energies(metric, offsets, rows, vals)
+    return Decomposition._flat(
+        metric, offsets, rows, vals, scalars, level=np.repeat(levels, counts)
+    )
 
 
 # -- per-subspace quantities -------------------------------------------
@@ -360,10 +467,7 @@ def galerkin_local_matrix(metric, prolongation):
     columns make the product singular and raise ``NotSpdError``.
     """
     if isinstance(prolongation, Subspace):
-        sub = prolongation
-        w = _metric_window(metric, sub.support)
-        m = sub.basis.T @ w @ sub.basis
-        return SpdOperator.from_dense(np.atleast_2d(m))
+        return SpdOperator.from_dense(np.atleast_2d(prolongation.galerkin(metric)))
     p = np.asarray(prolongation, dtype=np.float64)
     if p.ndim == 1:
         p = p[:, None]
@@ -378,7 +482,7 @@ def local_lipschitz_quadratic(hessian, subspace):
     This is the smoothness constant of a quadratic with Hessian ``H``
     restricted to the subspace, measured in the local matrix norm.
     """
-    hloc = subspace.basis.T @ _metric_window(hessian, subspace.support) @ subspace.basis
+    hloc = subspace.galerkin(hessian)
     if subspace.dimension == 1:
         return float(hloc[0, 0]) / subspace._scalar
     w = sla.eigh(
@@ -413,22 +517,20 @@ def rcd_column_lipschitz(hessian, i):
 def with_quadratic_lipschitz(decomposition, hessian):
     """Copy of a decomposition with local Lipschitz constants of a
     quadratic objective with the given Hessian."""
-    subs = [
-        s.with_lipschitz(local_lipschitz_quadratic(hessian, s))
-        for s in decomposition.subspaces
-    ]
-    return Decomposition(subs, decomposition.preconditioner)
+    lip = decomposition.local_energies(hessian) / decomposition.scalars
+    for i in decomposition.blocks:
+        lip[i] = local_lipschitz_quadratic(hessian, decomposition[i])
+    if not np.all(lip > 0):
+        raise ValueError("local Lipschitz constant must be positive")
+    return decomposition._with_lipschitz(lip)
 
 
 def with_local_lipschitz(decomposition, values):
     """Copy of a decomposition with explicitly given Lipschitz constants."""
-    values = as_vector(values, len(decomposition))
+    values = as_vector(values, len(decomposition)).copy()
     if np.any(values <= 0):
         raise ValueError("Lipschitz constants must be positive")
-    subs = [
-        s.with_lipschitz(v) for s, v in zip(decomposition.subspaces, values)
-    ]
-    return Decomposition(subs, decomposition.preconditioner)
+    return decomposition._with_lipschitz(values)
 
 
 # -- stability constant ------------------------------------------------

@@ -130,8 +130,8 @@ class SpdOperator:
 
     def _cholesky_dense(self, m):
         if m.shape == (1, 1) and m[0, 0] > 0.0:
-            # Scalar case, hit thousands of times by decomposition
-            # builders; skip the LAPACK round trip.
+            # Scalar case, hit once per one-dimensional subspace view
+            # whose local matrix is used; skip the LAPACK round trip.
             return (np.sqrt(m), True)
         try:
             c, low = sla.cho_factor(m, lower=True, check_finite=False)

@@ -258,7 +258,10 @@ def load_quadratic_problem(matrix_path, rhs_path):
     """Load a quadratic objective from triplet matrix and rhs files.
 
     The matrix file stores the upper triangle (1-based ``i j value``
-    lines under an ``N nnz`` header); symmetry is implied.  Raises on
+    lines under an ``N nnz`` header); symmetry is implied.  A matrix
+    with entries only on the diagonal and first superdiagonal that
+    factors as SPD is kept in tridiagonal storage; anything else is
+    dense (and may be semidefinite).  Raises on
     malformed headers, out-of-range or lower-triangle indices, duplicate
     entries, or an rhs of the wrong length.
     """
@@ -280,29 +283,38 @@ def load_quadratic_problem(matrix_path, rhs_path):
         raise ValueError(
             f"{matrix_path}: header promises {nnz} entries, found {len(lines) - 1}"
         )
-    m = np.zeros((n, n))
-    seen = set()
+    entries = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"{matrix_path}: malformed entry {ln!r}")
-        i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        if not (1 <= i <= n and 1 <= j <= n):
+        i, j, v = int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])
+        if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"{matrix_path}: index out of range in {ln!r}")
         if i > j:
             raise ValueError(
                 f"{matrix_path}: lower-triangle entry {ln!r}; store the upper triangle"
             )
-        if (i, j) in seen:
-            raise ValueError(f"{matrix_path}: duplicate entry for ({i}, {j})")
-        seen.add((i, j))
-        m[i - 1, j - 1] = v
-        m[j - 1, i - 1] = v
+        if (i, j) in entries:
+            raise ValueError(f"{matrix_path}: duplicate entry for ({i + 1}, {j + 1})")
+        entries[i, j] = v
     rhs = _parse_floats(rhs_path)
     if rhs.size != n:
         raise DimensionMismatchError(
             f"{rhs_path}: expected {n} values, found {rhs.size}"
         )
+    if all(j - i <= 1 for i, j in entries):
+        diag, off = np.zeros(n), np.zeros(n - 1)
+        for (i, j), v in entries.items():
+            (diag if i == j else off)[i] = v
+        try:
+            return QuadraticObjective(SpdOperator.tridiagonal(diag, off), rhs)
+        except NotSpdError:
+            pass  # not SPD as bands: the dense path decides
+    m = np.zeros((n, n))
+    for (i, j), v in entries.items():
+        m[i, j] = v
+        m[j, i] = v
     return QuadraticObjective(m, rhs)
 
 

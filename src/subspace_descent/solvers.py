@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .decomposition import _metric_window
 from .linalg import (
     DENSE_EIG_LIMIT,
     NotSpdError,
@@ -490,14 +489,12 @@ def _hessian_rep(objective):
 
 
 def _run_subspace(config, objective, decomposition, x, local_objectives, projections):
-    subs = decomposition.subspaces
-    j = len(subs)
-    n = decomposition.ambient_dimension
+    d = decomposition
+    j = len(d)
+    n = d.ambient_dimension
     if objective.dimension != n:
         raise ValueError("objective and decomposition dimensions disagree")
     fas = config.method.lower() == "rfas"
-    if fas and local_objectives is None:
-        local_objectives = [QuadraticEnergyLocal(s) for s in subs]
     if local_objectives is not None and len(local_objectives) != j:
         raise ValueError("need one local objective per subspace")
     if projections is not None and len(projections) != j:
@@ -510,59 +507,53 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     sampler = make_sampler(
         config.sampler,
         size=j,
-        lipschitz=decomposition.lipschitz if config.sampler == "proportional" else None,
+        lipschitz=d.lipschitz if config.sampler == "proportional" else None,
         seed=config.seed,
     )
 
+    # Per-subspace caches, index-aligned with the decomposition.
+    if config.step_size is not None:
+        alpha = np.full(j, float(config.step_size))
+    else:
+        alpha = 1.0 / d.lipschitz
+    canonical = np.ones(j, dtype=bool)
+    if fas:
+        if local_objectives is not None:
+            canonical[:] = [
+                isinstance(loc, QuadraticEnergyLocal) and loc.subspace is s
+                for loc, s in zip(local_objectives, d.subspaces)
+            ]
+        if projections is not None:
+            canonical &= [p is None for p in projections]
+        if local_objectives is None and not canonical.all():
+            local_objectives = [QuadraticEnergyLocal(s) for s in d.subspaces]
+
     quadratic = objective.is_quadratic
+    b0_arr = d.rows[d.offsets[:-1]]  # support start
+    b1_arr = d.rows[d.offsets[1:] - 1] + 1  # support end + 1
+    lo_arr = np.maximum(b0_arr - 1, 0)
+    hi_arr = np.minimum(b1_arr, n - 1) + 1
+    contiguous = b1_arr - b0_arr == np.diff(d.offsets)
+    # k = 1 and quadratic fast path
+    single = quadratic & (d.k == 1) & contiguous & canonical
+    scal = d.scalars
+    cols = [None] * j
+    starts, ends = d.offsets[:-1].tolist(), d.offsets[1:].tolist()
+    for i in np.flatnonzero(single).tolist():
+        cols[i] = d.vals[starts[i] : ends[i]]
+    subs = None if single.all() else d.subspaces
+    hloc = [None] * j
     if quadratic:
         kind, hdata = _hessian_rep(objective)
         banded = kind == "banded"
+        hscal = d.local_energies(objective.hessian_matrix)
+        for i in np.flatnonzero(~single).tolist():
+            if i in d.blocks:
+                hloc[i] = subs[i].galerkin(objective.hessian_matrix)
+            else:
+                hloc[i] = np.array([[hscal[i]]])
     else:
         banded = False
-
-    # Per-subspace caches, index-aligned with the decomposition.
-    alpha = np.empty(j)
-    single = np.zeros(j, dtype=bool)  # k = 1 and quadratic fast path
-    canonical = np.zeros(j, dtype=bool)
-    lo_arr = np.zeros(j, dtype=np.intp)
-    b0_arr = np.zeros(j, dtype=np.intp)  # support start
-    b1_arr = np.zeros(j, dtype=np.intp)  # support end + 1
-    hi_arr = np.zeros(j, dtype=np.intp)
-    cols = [None] * j
-    scal = np.ones(j)
-    hscal = np.zeros(j)
-    hloc = [None] * j
-
-    for i, s in enumerate(subs):
-        alpha[i] = (
-            float(config.step_size)
-            if config.step_size is not None
-            else 1.0 / s.local_lipschitz
-        )
-        if fas:
-            loc = local_objectives[i]
-            canonical[i] = (
-                isinstance(loc, QuadraticEnergyLocal)
-                and loc.subspace is s
-                and (projections is None or projections[i] is None)
-            )
-        contiguous = s.support.size == (s.support[-1] - s.support[0] + 1)
-        if quadratic:
-            hw = s.basis.T @ _metric_window(
-                objective.hessian_matrix, s.support
-            ) @ s.basis
-            hloc[i] = hw
-            fastable = s.dimension == 1 and contiguous and (not fas or canonical[i])
-            if fastable:
-                single[i] = True
-                cols[i] = np.ascontiguousarray(s.basis[:, 0])
-                scal[i] = s._scalar
-                hscal[i] = float(hw[0, 0])
-                a, b = int(s.support[0]), int(s.support[-1])
-                b0_arr[i], b1_arr[i] = a, b + 1
-                lo_arr[i] = max(a - 1, 0)
-                hi_arr[i] = min(b + 1, n - 1) + 1
 
     g = objective.gradient(x)
     f = objective.value(x)

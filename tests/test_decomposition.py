@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,7 @@ from subspace_descent.decomposition import (
     multilevel_nodal_decomposition,
     rcd_column_lipschitz,
     stability_constant,
+    with_local_lipschitz,
     with_quadratic_lipschitz,
 )
 from subspace_descent.linalg import (
@@ -21,6 +24,8 @@ from subspace_descent.linalg import (
     a_inner_product,
     dirichlet_laplacian,
 )
+from subspace_descent.objectives import nesterov_worst
+from subspace_descent.solvers import SolverConfig, run_solver
 
 
 class TestCoordinate:
@@ -336,3 +341,100 @@ def test_export_format(tmp_path):
         "5:0.5",
         "6:0.25",
     ]
+
+
+def per_hat_reference(level, hessian):
+    """Hats built one at a time: (support, values, A_i, L_i, level) each."""
+    n = 2**level - 1
+    a = dirichlet_laplacian(n).dense()
+    h = hessian.dense()
+    out = []
+    for l in range(level, 0, -1):
+        stride = 2 ** (level - l)
+        for j in range(1, 2**l):
+            centre = j * stride
+            lo, hi = max(1, centre - stride + 1), min(n, centre + stride - 1)
+            idx = np.arange(lo, hi + 1)
+            vals = 1.0 - np.abs(idx - centre) / stride
+            sup = idx - 1
+            energy = vals @ a[np.ix_(sup, sup)] @ vals
+            curvature = vals @ h[np.ix_(sup, sup)] @ vals
+            out.append((sup, vals, energy, curvature / energy, l))
+    return out
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("level", range(3, 11))
+    def test_builder_matches_per_hat_reference(self, level):
+        n = 2**level - 1
+        d = multilevel_nodal_decomposition(level)
+        assert np.array_equal(d.k, np.ones(len(d)))
+        for scale in (1.0, 1.5):
+            h = dirichlet_laplacian(n, scale=scale)
+            ref = per_hat_reference(level, h)
+            assert len(ref) == len(d)
+            lip = with_quadratic_lipschitz(d, h).lipschitz
+            for i, (sup, vals, energy, lipschitz, lev) in enumerate(ref):
+                lo, hi = d.offsets[i], d.offsets[i + 1]
+                assert np.array_equal(d.rows[lo:hi], sup)
+                assert np.array_equal(d.vals[lo:hi], vals)
+                # dyadic hat values: the energies are exact in any order
+                assert d.scalars[i] == energy
+                assert d.level[i] == lev
+                if scale == 1.0:
+                    assert lip[i] == lipschitz == 1.0
+                else:
+                    assert lip[i] == pytest.approx(lipschitz, rel=1e-14)
+
+    def test_level12_setup_stays_small(self):
+        # A dense |support|^2 window for the coarsest hat alone is 128 MiB.
+        obj = nesterov_worst(4095)
+        tracemalloc.start()
+        try:
+            d = multilevel_nodal_decomposition(12)
+            d = with_quadratic_lipschitz(d, obj.hessian)
+            cfg = SolverConfig(method="rfasd", sampler="cyclic", max_iterations=0)
+            run_solver(cfg, obj, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_packs_shuffled_hats_and_blocks(self):
+        a = dirichlet_laplacian(7)
+        hats = multilevel_nodal_decomposition(3)
+        blocks = block_decomposition([[0, 1, 2], [3, 4], [5], [6]], a)
+        basis = np.array([[1.0, 0.5], [0.0, 1.0], [2.0, -1.0]])
+        p = np.zeros((7, 2))
+        p[[1, 3, 4]] = basis
+        skew = Subspace(7, [1, 3, 4], basis, galerkin_local_matrix(a, p))
+        pool = [*hats, *blocks, skew]
+        subs = []
+        for i in np.random.default_rng(4).permutation(len(pool)):
+            s = pool[i]
+            lip = 1.0 + i
+            subs.append(Subspace(7, s.support, s.basis, s.local_matrix, lip, s.level))
+        d = Decomposition(subs, a)
+        assert d.subspaces == tuple(subs)
+        assert d.k.tolist() == [s.dimension for s in subs]
+        for s, lo, hi in zip(subs, d.offsets[:-1], d.offsets[1:]):
+            assert np.array_equal(d.rows[lo:hi], np.repeat(s.support, s.dimension))
+            assert np.array_equal(d.vals[lo:hi], s.basis.ravel())
+        assert sorted(d.blocks) == [i for i, s in enumerate(subs) if s.dimension > 1]
+        # a copy drops the cached views and rebuilds them from the arrays
+        copy = with_local_lipschitz(d, d.lipschitz)
+        for s, v in zip(subs, copy):
+            assert v is not s
+            assert np.array_equal(v.support, s.support)
+            assert np.array_equal(v.basis, s.basis)
+            assert np.array_equal(v.local_matrix.dense(), s.local_matrix.dense())
+            assert (v.local_lipschitz, v.level) == (s.local_lipschitz, s.level)
+        h = dirichlet_laplacian(7, scale=1.5)
+        assert_allclose(
+            with_quadratic_lipschitz(d, h).lipschitz,
+            [local_lipschitz_quadratic(h, s) for s in subs],
+            rtol=1e-14,
+        )
+        assert stability_constant(d, dense_limit=4) == pytest.approx(
+            stability_constant(d), rel=1e-4
+        )

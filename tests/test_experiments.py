@@ -236,6 +236,20 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err != ""
 
+    def test_divergence_exit_two(self, tmp_path, capsys):
+        # Indefinite Hessian [[1, 2], [2, 1]]: gradient descent diverges.
+        mp, rp = tmp_path / "m.txt", tmp_path / "r.txt"
+        mp.write_text("2 3\n1 1 1.0\n1 2 2.0\n2 2 1.0\n")
+        rp.write_text("1.0\n0.0\n")
+        args = [
+            "run", "--problem", "matrix", "--matrix", str(mp), "--rhs", str(rp),
+            "--method", "gd", "--trials", "1",
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(args)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: objective")
+
     def test_check_passes_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["check", "--n", "7", "--out", str(out)])

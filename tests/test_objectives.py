@@ -222,6 +222,28 @@ class TestProblemFiles:
         )
         assert np.array_equal(q.rhs, [0.5, 0.0])
 
+    def test_tridiagonal_file_loads_banded(self, tmp_path):
+        mp, rp = self._write(
+            tmp_path,
+            "3 5\n1 1 2.0\n1 2 -1.0\n2 2 2.0\n2 3 -1.0\n3 3 2.0\n",
+            "1\n0\n0\n",
+        )
+        q = load_quadratic_problem(mp, rp)
+        assert q.hessian.is_banded
+        assert np.array_equal(q.hessian.dense(), dirichlet_laplacian(3).dense())
+
+    def test_off_band_or_indefinite_file_stays_dense(self, tmp_path):
+        mp, rp = self._write(
+            tmp_path, "3 4\n1 1 2.0\n1 3 -1.0\n2 2 2.0\n3 3 2.0\n", "0\n0\n0\n"
+        )
+        assert not load_quadratic_problem(mp, rp).hessian.is_banded
+        mp, rp = self._write(
+            tmp_path, "2 3\n1 1 1.0\n1 2 2.0\n2 2 1.0\n", "0\n0\n"
+        )
+        q = load_quadratic_problem(mp, rp)
+        assert q.hessian is None
+        assert np.array_equal(q.hessian_matrix, [[1.0, 2.0], [2.0, 1.0]])
+
     def test_lower_triangle_rejected(self, tmp_path):
         mp, rp = self._write(tmp_path, "2 2\n1 1 2.0\n2 1 -1.0\n", "0\n0\n")
         with pytest.raises(ValueError):
