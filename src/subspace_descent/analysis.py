@@ -184,11 +184,22 @@ def decomposition_identity_check(gradient, decomposition, tol=1e-10):
     * ``sum_i (s_i, A_i s_i) ==`` the same value
     * ``||g||_{A^{-1}}^2 <= C_A * sum_i (s_i, A_i s_i)``
     """
-    g = as_vector(gradient, decomposition.ambient_dimension)
-    total_direction = np.zeros_like(g)
-    dual_local = 0.0
-    energy_local = 0.0
-    for s in decomposition.subspaces:
+    d = decomposition
+    g = as_vector(gradient, d.ambient_dimension)
+    # k = 1 terms straight from the flat arrays: A_i is the scalar, so
+    # s_i = -g_i / A_i and both local energies are g_i^2 / A_i.
+    one = d.k == 1
+    a_1 = d.scalars[one]
+    g_1 = np.add.reduceat(d.vals * g[d.rows], d.offsets[:-1])[one]
+    s_1 = np.zeros(len(d))
+    s_1[one] = -g_1 / a_1
+    total_direction = np.bincount(
+        d.rows, d.vals * np.repeat(s_1, np.diff(d.offsets)), g.size
+    )
+    dual_local = float(g_1 @ (g_1 / a_1))
+    energy_local = float(s_1[one] @ (a_1 * s_1[one]))
+    for i in d.blocks:
+        s = d[i]
         g_i = s.restrict(g)
         s_loc = s.solve_local(np.negative(g_i))
         total_direction[s.support] += s.basis @ s_loc

@@ -1,12 +1,11 @@
 """Multi-trial benchmark harness.
 
 Builds (objective, decomposition) pairs from a declarative spec, runs
-seeded trials in a thread pool, and aggregates iteration counts into
+seeded trials one after another, and aggregates iteration counts into
 summaries, benchmark tables, and theory reports.
 
 Trial ``t`` of an experiment always uses seed ``spec.seed + t``, so any
-single trial can be reproduced in isolation.  The thread-pool size is
-capped by the ``SUBSPACE_DESCENT_THREADS`` environment variable.
+single trial can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -169,14 +167,6 @@ def build_problem(spec):
     return objective, with_quadratic_lipschitz(d, hess)
 
 
-def _thread_count(trials):
-    cap = os.environ.get("SUBSPACE_DESCENT_THREADS", "").strip()
-    workers = min(trials, os.cpu_count() or 1)
-    if cap:
-        workers = max(1, min(workers, int(cap)))
-    return workers
-
-
 def _start_point(spec, n):
     if spec.x0 == "ones":
         return None
@@ -194,14 +184,19 @@ def run_experiment(spec, trace_dir=None, keep_traces=False):
     Trial t uses seed ``spec.seed + t``.  With ``trace_dir`` set, each
     trial writes a per-iteration CSV there; ``keep_traces`` attaches the
     RunTrace objects to the returned summary (memory permitting).
+    Trials run serially; ``seconds`` is their total wall time.
     """
+    if spec.trials < 1:
+        raise ValueError("trials must be at least 1")
     objective, decomposition = build_problem(spec)
     n = objective.dimension
     j = len(decomposition) if decomposition is not None else 1
     x0 = _start_point(spec, n)
     semidefinite_ok = objective.is_quadratic and objective.hessian is None
 
-    def one_trial(t):
+    started = time.perf_counter()
+    traces = []
+    for t in range(spec.trials):
         config = SolverConfig(
             method=spec.method.lower(),
             sampler=spec.sampler,
@@ -209,21 +204,15 @@ def run_experiment(spec, trace_dir=None, keep_traces=False):
             max_iterations=spec.max_iterations,
             seed=spec.seed + t,
         )
-        return run_solver(
-            config,
-            objective,
-            decomposition,
-            x0=x0,
-            allow_semidefinite=semidefinite_ok,
+        traces.append(
+            run_solver(
+                config,
+                objective,
+                decomposition,
+                x0=x0,
+                allow_semidefinite=semidefinite_ok,
+            )
         )
-
-    started = time.perf_counter()
-    workers = _thread_count(spec.trials)
-    if workers == 1 or spec.trials == 1:
-        traces = [one_trial(t) for t in range(spec.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(one_trial, range(spec.trials)))
     seconds = time.perf_counter() - started
 
     if trace_dir is not None:

@@ -20,12 +20,15 @@ Methods
 ``rfas``
     Full-approximation variant: the local problem is a nonlinear
     stationarity equation built from a local objective and a
-    restriction of the current gradient; with the canonical quadratic
-    local energies it reproduces ``rfasd`` exactly, bit for bit.
+    restriction of the current gradient.  Wherever its local problem is
+    canonical (quadratic local energy, no projection) it shares
+    ``rfasd``'s code path, so it reproduces ``rfasd`` bit for bit; only
+    the other subspaces solve the stationarity equation.
 
 For quadratic objectives the gradient and objective value are carried
-incrementally (rank-one updates through the Hessian), which makes a
-single iteration O(support size) for banded Hessians.
+incrementally (one rank-k window update through the Hessian per step),
+which makes the update O(support size) for banded Hessians; the
+gradient norm of the stopping test is still recomputed in O(n).
 """
 
 from __future__ import annotations
@@ -494,7 +497,6 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     n = d.ambient_dimension
     if objective.dimension != n:
         raise ValueError("objective and decomposition dimensions disagree")
-    fas = config.method.lower() == "rfas"
     if local_objectives is not None and len(local_objectives) != j:
         raise ValueError("need one local objective per subspace")
     if projections is not None and len(projections) != j:
@@ -516,8 +518,9 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         alpha = np.full(j, float(config.step_size))
     else:
         alpha = 1.0 / d.lipschitz
+    # rfas takes rfasd's path wherever its local problem is canonical.
     canonical = np.ones(j, dtype=bool)
-    if fas:
+    if config.method.lower() == "rfas":
         if local_objectives is not None:
             canonical[:] = [
                 isinstance(loc, QuadraticEnergyLocal) and loc.subspace is s
@@ -563,6 +566,9 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     guard = _Guard(f)
     if banded:
         dband, eband = hdata
+        # Zero scratch vector: the update is scattered into it on the
+        # support and cleared again after the window product.
+        w = np.zeros(n)
 
     k = 0
     converged = False
@@ -577,36 +583,21 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             break
         i = next_index()
         rec.choice(k, i)
+        # Each branch yields the support selector ``at``, the update
+        # ``dx`` on it and (for quadratics) the change ``df`` in f.
         if single[i]:
-            a = b0_arr[i]
-            b1 = b1_arr[i]
+            at = slice(b0_arr[i], b1_arr[i])
             col = cols[i]
-            gi = float(col @ g[a:b1])
-            if fas:
-                c = alpha[i] * ((0.0 - gi) / scal[i])
-            else:
-                c = alpha[i] * (-gi / scal[i])
-            x[a:b1] += c * col
-            f += c * gi + 0.5 * c * c * hscal[i]
-            lo = lo_arr[i]
-            hi1 = hi_arr[i]
-            if banded:
-                w = np.zeros(hi1 - lo)
-                w[a - lo : b1 - lo] = c * col
-                prod = dband[lo:hi1] * w
-                prod[:-1] += eband[lo : hi1 - 1] * w[1:]
-                prod[1:] += eband[lo : hi1 - 1] * w[:-1]
-                g[lo:hi1] += prod
-            else:
-                g += hdata[:, a:b1] @ (c * col)
-            gn = float(norm(g))
+            gi = float(col @ g[at])
+            c = alpha[i] * (-gi / scal[i])
+            dx = c * col
+            df = c * gi + 0.5 * c * c * hscal[i]
         else:
             s = subs[i]
+            at = s.support
             gi = s.restrict(g)
-            if not fas:
+            if canonical[i]:
                 sloc = s.solve_local(np.negative(gi))
-            elif canonical[i]:
-                sloc = s.solve_local(0.0 - gi)
             else:
                 loc = local_objectives[i]
                 if projections is not None and projections[i] is not None:
@@ -618,26 +609,29 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                 tau = loc.gradient(q) - gi
                 sloc = solve_local_stationarity(loc, tau, q) - q
             delta = alpha[i] * sloc
-            s.add_prolonged(x, delta)
+            dx = s.basis @ delta
             if quadratic:
-                f += float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
-                dx = s.basis @ delta
-                if banded:
-                    a, b = int(s.support[0]), int(s.support[-1])
-                    lo, hi1 = max(a - 1, 0), min(b + 1, n - 1) + 1
-                    w = np.zeros(hi1 - lo)
-                    w[s.support - lo] = dx
-                    prod = dband[lo:hi1] * w
-                    prod[:-1] += eband[lo : hi1 - 1] * w[1:]
-                    prod[1:] += eband[lo : hi1 - 1] * w[:-1]
-                    g[lo:hi1] += prod
-                else:
-                    g += hdata[:, s.support] @ dx
-                gn = float(norm(g))
+                df = float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
+        x[at] += dx
+        if quadratic:
+            # g += H P_i delta: a window product for banded H, the support
+            # columns for dense H.
+            f += df
+            if banded:
+                lo, hi1 = lo_arr[i], hi_arr[i]
+                w[at] = dx
+                win = w[lo:hi1]
+                prod = dband[lo:hi1] * win
+                prod[:-1] += eband[lo : hi1 - 1] * win[1:]
+                prod[1:] += eband[lo : hi1 - 1] * win[:-1]
+                g[lo:hi1] += prod
+                w[at] = 0.0
             else:
-                g = objective.gradient(x)
-                f = objective.value(x)
-                gn = float(norm(g))
+                g += hdata[:, at] @ dx
+        else:
+            g = objective.gradient(x)
+            f = objective.value(x)
+        gn = float(norm(g))
         k += 1
         if k % j == 0:
             guard.check(f, k)

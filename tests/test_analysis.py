@@ -178,6 +178,13 @@ class TestIdentityCheck:
                     dirichlet_laplacian(15),
                 )
             )
+        if n == 7:
+            # k = 1 terms come from the flat arrays, k > 1 from the blocks
+            builders.append(
+                block_decomposition(
+                    [[0], [1, 2], [3], [4, 5, 6]], dirichlet_laplacian(7)
+                )
+            )
         rng = np.random.default_rng(n)
         for d in builders:
             for _ in range(200 // len(builders)):

@@ -92,13 +92,6 @@ class TestRunExperiment:
         assert s.n == 7 and s.j == 11
         assert s.converged_fraction == 1.0
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SUBSPACE_DESCENT_THREADS", "1")
-        a = run_experiment(tiny_spec())
-        monkeypatch.setenv("SUBSPACE_DESCENT_THREADS", "4")
-        b = run_experiment(tiny_spec())
-        assert a.iterations == b.iterations  # concurrency metadata only
-
     def test_size_level_consistency_enforced(self):
         with pytest.raises(ValueError):
             build_problem(tiny_spec(n=10))
@@ -235,6 +228,11 @@ class TestCli:
         code = main(["run", "--n", "10", "--method", "rfasd", "--trials", "1"])
         assert code == 2
         assert capsys.readouterr().err != ""
+
+    def test_zero_trials_exit_two(self, capsys):
+        code = main(["run", "--n", "7", "--trials", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: trials must be at least 1\n"
 
     def test_divergence_exit_two(self, tmp_path, capsys):
         # Indefinite Hessian [[1, 2], [2, 1]]: gradient descent diverges.

@@ -3,10 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from subspace_descent.decomposition import (
+    Decomposition,
+    Subspace,
     block_decomposition,
     coordinate_decomposition,
+    galerkin_local_matrix,
     multilevel_nodal_decomposition,
     with_local_lipschitz,
+    with_quadratic_lipschitz,
 )
 from subspace_descent.linalg import NotSpdError, SpdOperator, dirichlet_laplacian
 from subspace_descent.objectives import (
@@ -231,6 +235,33 @@ class TestRunSolver:
             off = np.setdiff1d(np.arange(6), s.support)
             assert np.array_equal(x_next[off], x[off])
             x = x_next
+
+    @pytest.mark.parametrize("hessian", ["banded", "dense"])
+    def test_replay_mixed_decomposition(self, hessian):
+        # hats, a k = 2 block and a non-contiguous subspace in one family
+        a = dirichlet_laplacian(7)
+        p = np.zeros((7, 1))
+        p[[0, 3, 5], 0] = [1.0, -0.5, 2.0]
+        gap = Subspace(7, [0, 3, 5], p[[0, 3, 5]], galerkin_local_matrix(a, p))
+        pair = block_decomposition([[1, 2], [0], [3], [4], [5], [6]], a)[0]
+        subs = [*multilevel_nodal_decomposition(3), pair, gap]
+        if hessian == "banded":
+            obj = nesterov_worst(7)
+        else:
+            m = np.random.default_rng(8).standard_normal((7, 7))
+            h = SpdOperator.from_dense(m @ m.T + 7.0 * np.eye(7))
+            obj = QuadraticObjective(h, np.arange(7.0))
+        assert obj.hessian.is_banded == (hessian == "banded")
+        d = with_quadratic_lipschitz(Decomposition(subs, a), obj.hessian)
+        cfg = SolverConfig(method="rfasd", seed=5, max_iterations=200)
+        tr = run_solver(cfg, obj, d)
+        assert set(tr.chosen.tolist()) == set(range(len(subs)))
+        x, f = np.ones(7), [obj.value(np.ones(7))]
+        for i in tr.chosen:
+            x = rfasd_step(x, d[int(i)], obj)
+            f.append(obj.value(x))
+        assert_allclose(tr.final_x, x, rtol=1e-12)
+        assert_allclose(tr.objective_values, f, rtol=1e-12)
 
     def test_determinism(self):
         obj = nesterov_worst(15)
