@@ -31,8 +31,7 @@ def main():
     obj = nesterov_worst(n)
     multi = prepared(obj, level)
     coord = with_local_lipschitz(
-        coordinate_decomposition(n),
-        [rcd_column_lipschitz(obj.hessian, i) for i in range(n)],
+        coordinate_decomposition(n), rcd_column_lipschitz(obj.hessian)
     )
 
     rows = [

@@ -53,8 +53,6 @@ from .decomposition import (
     block_decomposition,
     coordinate_decomposition,
     export_decomposition,
-    galerkin_local_matrix,
-    local_lipschitz_quadratic,
     multilevel_nodal_decomposition,
     rcd_column_lipschitz,
     stability_constant,

@@ -24,7 +24,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from .linalg import DENSE_EIG_LIMIT, SpdOperator, as_vector
-from .solvers import subspace_search_direction
 
 __all__ = [
     "TheoryCheck",
@@ -186,26 +185,12 @@ def decomposition_identity_check(gradient, decomposition, tol=1e-10):
     """
     d = decomposition
     g = as_vector(gradient, d.ambient_dimension)
-    # k = 1 terms straight from the flat arrays: A_i is the scalar, so
-    # s_i = -g_i / A_i and both local energies are g_i^2 / A_i.
-    one = d.k == 1
-    a_1 = d.scalars[one]
-    g_1 = np.add.reduceat(d.vals * g[d.rows], d.offsets[:-1])[one]
-    s_1 = np.zeros(len(d))
-    s_1[one] = -g_1 / a_1
-    total_direction = np.bincount(
-        d.rows, d.vals * np.repeat(s_1, np.diff(d.offsets)), g.size
-    )
-    dual_local = float(g_1 @ (g_1 / a_1))
-    energy_local = float(s_1[one] @ (a_1 * s_1[one]))
-    for i in d.blocks:
-        s = d[i]
-        g_i = s.restrict(g)
-        s_loc = s.solve_local(np.negative(g_i))
-        total_direction[s.support] += s.basis @ s_loc
-        dual_local += float(g_i @ s.solve_local(g_i))
-        energy_local += float(s_loc @ s.local_matrix.matvec(s_loc))
-    pairing = -float(g @ total_direction)
+    # g_i = P_i^T g and s_i = -A_i^{-1} g_i for every subspace at once.
+    g_loc = d.restrict(g)
+    s_loc = d.solve_local(-g_loc)
+    pairing = -float(g @ d.prolong(s_loc))
+    dual_local = -float(g_loc @ s_loc)
+    energy_local = float(s_loc @ d.apply_local(s_loc))
     dual_sq = float(g @ decomposition.preconditioner.solve(g))
     scale = max(1.0, abs(dual_local))
     identity_slack = tol - max(
@@ -250,9 +235,13 @@ def expected_decay_check(
 ):
     """Compare the exact one-step expected decrease with its bound.
 
-    The expectation is enumerated exactly over all J outcomes with
-    their selection probabilities (``'uniform'``, ``'proportional'``,
-    or an explicit vector).  The bound is
+    The objective must be quadratic.  The expectation is exact over all
+    J outcomes with their selection probabilities (``'uniform'``,
+    ``'proportional'``, or an explicit vector): step i changes f by
+    ``(g_i, s_i) / L_i + (H_i s_i, s_i) / (2 L_i^2)`` with
+    ``s_i = -A_i^{-1} g_i`` and ``H_i = P_i^T H P_i``, taken for every
+    subspace at once through the decomposition's flat kernel.  The
+    bound is
 
         min_i(p_i / L_i) / 2 * ||grad f(x)||_{A^{-1}}^2 / C_A,
 
@@ -261,8 +250,11 @@ def expected_decay_check(
     conservative (flagged) because the worst ``p_i / L_i`` is used.
     The check passes when ``decrease >= bound - tol`` (absolute).
     """
-    x = as_vector(x, decomposition.ambient_dimension)
-    lip = decomposition.lipschitz
+    if not objective.is_quadratic:
+        raise ValueError("expected_decay_check needs a quadratic objective")
+    d = decomposition
+    x = as_vector(x, d.ambient_dimension)
+    lip = d.lipschitz
     j = len(decomposition)
     if isinstance(probabilities, str):
         if probabilities == "uniform":
@@ -279,11 +271,12 @@ def expected_decay_check(
             raise ValueError("probabilities must be positive and sum to 1")
     g = objective.gradient(x)
     f0 = objective.value(x)
-    expected = 0.0
-    for i, s in enumerate(decomposition.subspaces):
-        direction = subspace_search_direction(g, s)
-        expected += p[i] * objective.value(x + direction / s.local_lipschitz)
-    decrease = f0 - expected
+    g_loc = d.restrict(g)
+    t = d.solve_local(-g_loc) / np.repeat(lip, d.k)  # the step s_i / L_i
+    dt = g_loc * t + 0.5 * t * d.apply_local(t, objective.hessian_matrix)
+    change = float(np.repeat(p, d.k) @ dt)
+    expected = f0 + change
+    decrease = -change
     dual_sq = float(g @ decomposition.preconditioner.solve(g))
     c_a = decomposition.stability_constant
     worst = float(np.min(p / lip))

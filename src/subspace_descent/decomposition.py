@@ -1,15 +1,18 @@
 """Space decompositions: coordinates, blocks, and multilevel nodal hats.
 
 A decomposition is a finite family of low-dimensional subspaces of R^n,
-each given by a sparse prolongation (basis columns living on a small
-support set), together with a metric operator A.  Each subspace carries
-its Galerkin local matrix ``A_i = P_i^T A P_i`` and a local Lipschitz
-constant used for step sizes and sampling weights.
+each given by a sparse prolongation P_i (basis columns living on a
+small support set), together with a metric operator A.  Each subspace
+carries its Galerkin local matrix ``A_i = P_i^T A P_i`` and a local
+Lipschitz constant used for step sizes and sampling weights.
 
 A :class:`Decomposition` stores the family in flat arrays, so the
-multilevel hats cost O(n log n) time and memory; :class:`Subspace` is
-the per-subspace view.  Energies under a tridiagonal operator come from
-its bands, which are never densified.
+multilevel hats cost O(n log n) time and memory.  Every builder goes
+through its one validating constructor, and one flat kernel on it
+restricts, solves or applies the local matrices, and prolongs and sums
+for all subspaces at once.  :class:`Subspace` is the read-only view of
+one subspace.  Energies under a tridiagonal operator come from its
+bands, which are never densified.
 
 Index convention: all supports, basis rows, and subspace indices are
 0-based throughout the package.
@@ -37,8 +40,6 @@ __all__ = [
     "coordinate_decomposition",
     "block_decomposition",
     "multilevel_nodal_decomposition",
-    "galerkin_local_matrix",
-    "local_lipschitz_quadratic",
     "rcd_column_lipschitz",
     "with_quadratic_lipschitz",
     "with_local_lipschitz",
@@ -59,124 +60,35 @@ def _galerkin(m, support, basis):
     return basis.T @ m[np.ix_(support, support)] @ basis
 
 
-def _energies(m, offsets, rows, vals):
-    """``v^T M v`` for each run ``offsets[i]:offsets[i+1]`` of (rows, vals).
-
-    Two segment sums over the bands for tridiagonal M, else one dense
-    Galerkin product per run.
-    """
-    starts = offsets[:-1]
-    if not (isinstance(m, SpdOperator) and m.is_banded):
-        runs = zip(starts.tolist(), offsets[1:].tolist())
-        return np.array(
-            [_galerkin(m, rows[a:b], vals[a:b, None])[0, 0] for a, b in runs]
-        )
-    d, e = m.bands
-    pair = np.diff(rows) == 1
-    pair[offsets[1:-1] - 1] = False  # no pairs across runs
-    p = np.flatnonzero(pair)
-    cross = np.zeros(rows.size)
-    cross[p] = e[rows[p]] * (vals[p] * vals[p + 1])
-    out = np.add.reduceat(d[rows] * (vals * vals), starts)
-    return out + 2.0 * np.add.reduceat(cross, starts)
+def _columns(offsets, k):
+    """Column of each entry within its support row (all 0 where k = 1)."""
+    sizes = np.diff(offsets)
+    position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], sizes)
+    return position % np.repeat(k, sizes)
 
 
 def _frozen(a, dtype):
-    a = np.asarray(a, dtype=dtype)
+    a = np.asarray(a, dtype=dtype).view()  # the caller's array stays writeable
     a.flags.writeable = False
     return a
 
 
 class Subspace:
-    """One subspace of a decomposition.
+    """Read-only view of one subspace of a :class:`Decomposition`.
 
-    Parameters
-    ----------
-    ambient_dimension : int
-    support : array of int
-        Strictly increasing 0-based row indices where basis columns are
-        nonzero.
-    basis : (len(support), k) array
-        Basis columns restricted to the support; must have full column
-        rank k >= 1.
-    local_matrix : SpdOperator
-        The k-by-k local SPD matrix (normally the Galerkin product with
-        the decomposition metric).
-    local_lipschitz : float
-        Smoothness constant of the objective restricted to this
-        subspace, measured against ``local_matrix``; defaults to 1.
-    level : int
-        Grid level for multilevel constructions (finest = largest);
-        0 for flat families like coordinates and blocks.
-
-    Instances are treated as immutable; the views a Decomposition hands
-    out share its arrays.
+    ``support`` holds the strictly increasing 0-based rows where the
+    basis columns are nonzero and ``basis`` the (len(support), k)
+    columns on them; ``local_lipschitz`` and ``level`` are the
+    subspace's Lipschitz constant and grid level (finest = largest, 0
+    for flat families like coordinates and blocks).  Views are made only
+    by ``Decomposition.subspaces``, share its arrays and are not
+    validated again.
     """
 
-    __slots__ = (
-        "ambient_dimension",
-        "support",
-        "basis",
-        "local_lipschitz",
-        "level",
-        "_local",
-        "_scalar",
-    )
-
-    def __init__(
-        self,
-        ambient_dimension,
-        support,
-        basis,
-        local_matrix,
-        local_lipschitz=1.0,
-        level=0,
-    ):
-        support = np.asarray(support, dtype=np.intp)
-        if support.ndim != 1 or support.size == 0:
-            raise ValueError("support must be a nonempty 1-D index array")
-        if np.any(np.diff(support) <= 0):
-            raise ValueError("support indices must be strictly increasing")
-        if support[0] < 0 or support[-1] >= ambient_dimension:
-            raise ValueError("support index out of range")
-        basis = np.asarray(basis, dtype=np.float64)
-        if basis.ndim == 1:
-            basis = basis[:, None]
-        if basis.shape[0] != support.size:
-            raise DimensionMismatchError(
-                "basis must have one row per support index"
-            )
-        k = basis.shape[1]
-        if not isinstance(local_matrix, SpdOperator):
-            local_matrix = SpdOperator.from_dense(np.atleast_2d(local_matrix))
-        if local_matrix.dimension != k:
-            raise DimensionMismatchError(
-                f"local matrix is {local_matrix.dimension}-dim, basis has {k} columns"
-            )
-        if k == 1:
-            if not np.any(basis):
-                raise ValueError("basis columns are linearly dependent")
-        elif np.linalg.matrix_rank(basis) != k:
-            raise ValueError("basis columns are linearly dependent")
-        if not local_lipschitz > 0:
-            raise ValueError("local Lipschitz constant must be positive")
-        self.ambient_dimension = int(ambient_dimension)
-        self.support = support
-        self.basis = basis
-        self._local = local_matrix
-        self.local_lipschitz = float(local_lipschitz)
-        self.level = int(level)
-        # Scalar fast path for one-dimensional subspaces.
-        self._scalar = float(local_matrix.dense()[0, 0]) if k == 1 else None
-
-    @classmethod
-    def _view(cls, n, support, basis, scalar, local, lipschitz, level):
-        """Unvalidated view on arrays a Decomposition already holds."""
-        s = object.__new__(cls)
-        s.ambient_dimension, s.support, s.basis = n, support, basis
-        s.local_lipschitz, s.level, s._local = lipschitz, level, local
-        s._scalar = scalar if local is None else None
-        return s
+    def __init__(self, n, support, basis, scalar, local, lipschitz, level):
+        self.ambient_dimension, self.support, self.basis = n, support, basis
+        self.local_lipschitz, self.level, self._local = lipschitz, level, local
+        self._scalar = scalar if local is None else None
 
     @property
     def local_matrix(self):
@@ -190,13 +102,6 @@ class Subspace:
         """Number of basis columns k (not the ambient dimension)."""
         return self.basis.shape[1]
 
-    @property
-    def column(self):
-        """Support-restricted basis vector; only for k = 1."""
-        if self.dimension != 1:
-            raise ValueError("column is only defined for one-dimensional subspaces")
-        return self.basis[:, 0]
-
     def restrict(self, full):
         """Apply ``P_i^T`` to a full-space vector."""
         return self.basis.T @ full[self.support]
@@ -208,16 +113,6 @@ class Subspace:
         out[self.support] = self.basis @ coeffs
         return out
 
-    def add_prolonged(self, x, coeffs):
-        """In-place ``x += P_i @ coeffs``."""
-        x[self.support] += self.basis @ np.atleast_1d(coeffs)
-
-    def prolongation_dense(self):
-        """The full (n, k) prolongation matrix."""
-        p = np.zeros((self.ambient_dimension, self.dimension))
-        p[self.support, :] = self.basis
-        return p
-
     def galerkin(self, operator):
         """``P_i^T M P_i`` as a dense (k, k) array, for any symmetric M."""
         return _galerkin(operator, self.support, self.basis)
@@ -228,97 +123,97 @@ class Subspace:
             return np.atleast_1d(np.asarray(v, dtype=np.float64)) / self._scalar
         return self.local_matrix.solve(v)
 
-    def __repr__(self):
-        return (
-            f"Subspace(k={self.dimension}, support=[{self.support[0]}..."
-            f"{self.support[-1]}], level={self.level}, L={self.local_lipschitz:g})"
-        )
-
 
 class Decomposition:
     """An ordered family of J subspaces sharing an SPD metric.
 
-    The metric (``preconditioner``) A measures all norms, Galerkin
-    products and the stability constant.  The family is stored flat, in
-    read-only arrays that copies share: subspace i has ``k[i]`` basis
-    columns whose entries on its support are ``vals[offsets[i]:offsets[i+1]]``
-    at rows ``rows[offsets[i]:offsets[i+1]]``, row-major over its
-    strictly increasing support (so with k = 1 the run of ``rows`` is
-    the support).  Its local matrix is ``scalars[i]`` where k = 1 (NaN
-    elsewhere) and the SpdOperator ``blocks[i]`` where k > 1;
-    ``lipschitz[i]`` and ``level[i]`` are its Lipschitz constant and
-    grid level.
+    The metric A (kept as ``preconditioner``) measures all norms,
+    Galerkin products and the stability constant.  Subspace i has
+    ``k[i]`` basis columns (default 1) whose entries on its support are
+    ``vals[offsets[i]:offsets[i+1]]`` at rows ``rows[offsets[i]:offsets[i+1]]``,
+    row-major over its strictly increasing support: each support row
+    appears k[i] times in a row, so with k = 1 the run of ``rows`` is the
+    support.  ``lipschitz[i]`` (default 1) and ``level[i]`` (default 0)
+    are its Lipschitz constant and grid level.
 
-    ``Decomposition(subspaces, metric)`` packs :class:`Subspace` objects;
-    ``subspaces`` is a tuple of views, built on first use and cached.
+    The constructor checks the arrays in a few vectorized O(nnz)
+    passes: consistent lengths (``DimensionMismatchError``); run
+    lengths divisible by k; rows inside the metric's range; supports
+    strictly increasing; no zero k = 1 column and full column rank
+    where k > 1; positive Lipschitz constants (``ValueError``).  It then
+    computes the local matrices: ``scalars[i]`` is A_i where k = 1 (NaN
+    elsewhere) and ``blocks`` maps each i with k > 1 to its SpdOperator.
+    All arrays are read-only and shared by copies.
+
+    The flat kernel (:meth:`restrict`, :meth:`solve_local`,
+    :meth:`apply_local`, :meth:`prolong`) works on all subspaces at
+    once, on coefficient vectors in which subspace i owns the k[i]
+    consecutive slots ``slots[i]:slots[i+1]``.  ``subspaces`` is a tuple
+    of :class:`Subspace` views, built on first use and cached.
     """
 
-    def __init__(self, subspaces, preconditioner):
-        subs = tuple(subspaces)
-        if not subs:
+    def __init__(self, metric, offsets, rows, vals, k=None, lipschitz=None, level=None):
+        offsets, rows = _frozen(offsets, np.intp), _frozen(rows, np.intp)
+        vals = _frozen(vals, np.float64)
+        j = offsets.size - 1
+        if offsets.ndim != 1 or j < 1:
             raise ValueError("decomposition needs at least one subspace")
-        n = preconditioner.dimension
-        for s in subs:
-            if s.ambient_dimension != n:
-                raise DimensionMismatchError(
-                    "subspace ambient dimension does not match the metric"
-                )
-        self._assign(
-            preconditioner,
-            np.cumsum([0] + [s.basis.size for s in subs]),
-            np.concatenate([np.repeat(s.support, s.dimension) for s in subs]),
-            np.concatenate([s.basis.ravel() for s in subs]),
-            [np.nan if s._scalar is None else s._scalar for s in subs],
-            {i: s.local_matrix for i, s in enumerate(subs) if s._scalar is None},
-            [s.dimension for s in subs],
-            [s.local_lipschitz for s in subs],
-            [s.level for s in subs],
-        )
-        self._subspaces = subs
+        ones = np.ones(j, dtype=np.intp)
+        k = _frozen(ones if k is None else k, np.intp)
+        lipschitz = _frozen(ones if lipschitz is None else lipschitz, np.float64)
+        level = _frozen(0 * ones if level is None else level, np.intp)
+        if rows.ndim != 1 or rows.shape != vals.shape or offsets[-1] != rows.size:
+            raise DimensionMismatchError("offsets, rows and vals disagree in length")
+        if k.shape != (j,) or lipschitz.shape != (j,) or level.shape != (j,):
+            raise DimensionMismatchError("k, lipschitz and level need J entries each")
+        sizes, multi = offsets[1:] - offsets[:-1], (k != 1).any()
+        if offsets[0] != 0 or (sizes < 1).any() or (k < 1).any() or (
+            multi and (sizes % k).any()
+        ):
+            raise ValueError("run length is not a positive multiple of k")
+        if rows.min() < 0 or rows.max() >= metric.dimension:
+            raise ValueError("support index out of range")
+        # lead: the support rows in order; ends: where each run's support ends
+        lead, ends = rows, offsets[1:-1] - 1
+        if multi:
+            col = _columns(offsets, k)
+            if (rows != rows[np.arange(rows.size) - col]).any():
+                raise ValueError("each support row must appear k times in a row")
+            lead, ends = rows[col == 0], np.cumsum(sizes // k)[:-1] - 1
+        step = lead[1:] - lead[:-1]
+        step[ends] = 1  # supports of consecutive runs may restart
+        if (step <= 0).any():
+            raise ValueError("support indices must be strictly increasing")
+        if not (lipschitz > 0).all():
+            raise ValueError("local Lipschitz constant must be positive")
+        self.preconditioner = metric
+        self.offsets, self.rows, self.vals = offsets, rows, vals
+        self.k, self.lipschitz, self.level = k, lipschitz, level
+        self.slots = _frozen(np.concatenate(([0], np.cumsum(k))), np.intp)
+        self._subspaces = self._stability = self._energies = self._entry = None
+        self.scalars = self.local_energies(metric)
+        self.blocks = {}
+        for i in np.flatnonzero(k > 1).tolist():
+            support, basis = self._basis(i)
+            if np.linalg.matrix_rank(basis) != basis.shape[1]:
+                raise ValueError("basis columns are linearly dependent")
+            self.blocks[i] = SpdOperator.from_dense(_galerkin(metric, support, basis))
+        if not (self.scalars[k == 1] > 0).all():
+            raise ValueError("basis column is zero")
 
-    @classmethod
-    def _flat(cls, preconditioner, *arrays, **named):
-        d = object.__new__(cls)
-        d._assign(preconditioner, *arrays, **named)
-        return d
-
-    def _assign(
-        self, preconditioner, offsets, rows, vals, scalars,
-        blocks=None, k=None, lipschitz=None, level=None,
-    ):
-        ones = np.ones(len(offsets) - 1)
-        k, level = ones if k is None else k, 0 * ones if level is None else level
-        self.preconditioner = preconditioner
-        self.blocks = blocks or {}
-        self.offsets, self.rows, self.k, self.level = (
-            _frozen(a, np.intp) for a in (offsets, rows, k, level)
-        )
-        self.vals, self.scalars, self.lipschitz = (
-            _frozen(a, np.float64)
-            for a in (vals, scalars, ones if lipschitz is None else lipschitz)
-        )
-        self._subspaces = self._stability = self._energies = None
-
-    def _with_lipschitz(self, values):
-        """Copy sharing every array except ``lipschitz``."""
-        out = copy.copy(self)
-        out.lipschitz = _frozen(values, np.float64)
-        out._subspaces = None
-        return out
+    def _basis(self, i):
+        """Support and (support, k) basis of subspace i, as array views."""
+        a, b, k = int(self.offsets[i]), int(self.offsets[i + 1]), int(self.k[i])
+        return self.rows[a:b:k], self.vals[a:b].reshape(-1, k)
 
     @property
     def subspaces(self):
         """Tuple of :class:`Subspace` views, built on first use."""
         if self._subspaces is None:
-            n, o, k = self.ambient_dimension, self.offsets.tolist(), self.k.tolist()
-            scal, lip = self.scalars.tolist(), self.lipschitz.tolist()
-            lev = self.level.tolist()
+            n, scal = self.ambient_dimension, self.scalars.tolist()
+            lip, lev, blk = self.lipschitz.tolist(), self.level.tolist(), self.blocks
             self._subspaces = tuple(
-                Subspace._view(
-                    n, self.rows[o[i] : o[i + 1] : k[i]],
-                    self.vals[o[i] : o[i + 1]].reshape(-1, k[i]),
-                    scal[i], self.blocks.get(i), lip[i], lev[i],
-                )
+                Subspace(n, *self._basis(i), scal[i], blk.get(i), lip[i], lev[i])
                 for i in range(len(self))
             )
         return self._subspaces
@@ -326,20 +221,78 @@ class Decomposition:
     def local_energies(self, operator):
         """``P_i^T M P_i`` for every k = 1 subspace (NaN where k > 1).
 
-        Cached for the most recent operator (by identity), so annotating
-        Lipschitz constants and setting up a solver share one pass.
+        Two segment sums over the bands for tridiagonal M; else one-entry
+        supports at once and one dense Galerkin product per longer
+        support.  Cached for the most recent
+        operator (by identity), so annotating Lipschitz constants and
+        setting up a solver share one pass.
         """
         cached = self._energies
         if cached is not None and cached[0] is operator:
             return cached[1]
-        if self.blocks:
-            out = np.full(len(self), np.nan)
-            for i in np.flatnonzero(self.k == 1).tolist():
-                out[i] = self[i].galerkin(operator)[0, 0]
+        offsets, rows, vals, one = self.offsets, self.rows, self.vals, self.k == 1
+        if isinstance(operator, SpdOperator) and operator.is_banded:
+            d, e = operator.bands
+            pair = rows[1:] - rows[:-1] == 1
+            pair[offsets[1:-1] - 1] = False  # no pairs across subspaces
+            cross = np.zeros(rows.size)  # e_r v_r v_{r+1} where a pair starts
+            e_at = np.append(e, 0.0)[rows[:-1]]
+            np.multiply(e_at, vals[:-1] * vals[1:], out=cross[:-1], where=pair)
+            out = np.add.reduceat(d[rows] * (vals * vals), offsets[:-1])
+            out += 2.0 * np.add.reduceat(cross, offsets[:-1])
+            out[~one] = np.nan
         else:
-            out = _energies(operator, self.offsets, self.rows, self.vals)
+            out = np.full(len(self), np.nan)
+            lone = one & (offsets[1:] - offsets[:-1] == 1)  # one-entry runs at once
+            m = operator.dense() if isinstance(operator, SpdOperator) else operator
+            r, v = rows[offsets[:-1][lone]], vals[offsets[:-1][lone]]
+            out[lone] = v * np.asarray(m, dtype=np.float64)[r, r] * v
+            for i in np.flatnonzero(one & ~lone).tolist():
+                out[i] = _galerkin(operator, *self._basis(i))[0, 0]
         self._energies = (operator, _frozen(out, np.float64))
+        return self._energies[1]
+
+    # -- flat kernel: restrict, local solve or apply, prolong-and-sum --
+
+    def _entry_slots(self):
+        """Coefficient slot of every entry, built on first use."""
+        if self._entry is None:
+            first = np.repeat(self.slots[:-1], np.diff(self.offsets))
+            self._entry = _frozen(first + _columns(self.offsets, self.k), np.intp)
+        return self._entry
+
+    def restrict(self, v):
+        """``P_i^T v`` of every subspace, as one flat coefficient vector."""
+        c = self.vals * v[self.rows]
+        return np.bincount(self._entry_slots(), c, self.slots[-1])
+
+    def solve_local(self, c):
+        """``A_i^{-1} c_i`` for every subspace, on flat coefficients."""
+        out = c / np.repeat(self.scalars, self.k)
+        for i, block in self.blocks.items():
+            at = slice(*self.slots[i : i + 2])
+            out[at] = block.solve(c[at])
         return out
+
+    def apply_local(self, c, operator=None):
+        """``M_i c_i`` for every subspace, on flat coefficients.
+
+        ``M_i = P_i^T M P_i`` is the local matrix of ``operator``; the
+        default is the metric, whose local matrices are the A_i.
+        """
+        metric = operator is None
+        scal = self.scalars if metric else self.local_energies(operator)
+        out = c * np.repeat(scal, self.k)
+        for i, block in self.blocks.items():
+            at = slice(*self.slots[i : i + 2])
+            m = block.dense() if metric else _galerkin(operator, *self._basis(i))
+            out[at] = m @ c[at]
+        return out
+
+    def prolong(self, c):
+        """``sum_i P_i c_i`` as a full vector."""
+        v = self.vals * c[self._entry_slots()]
+        return np.bincount(self.rows, v, self.ambient_dimension)
 
     def __len__(self):
         return self.k.size
@@ -365,12 +318,6 @@ class Decomposition:
             self._stability = stability_constant(self)
         return self._stability
 
-    def __repr__(self):
-        return (
-            f"Decomposition(J={len(self)}, n={self.ambient_dimension}, "
-            f"metric={'banded' if self.preconditioner.is_banded else 'dense'})"
-        )
-
 
 # -- builders ----------------------------------------------------------
 
@@ -386,9 +333,7 @@ def coordinate_decomposition(n, metric=None):
     metric = SpdOperator.identity(n) if metric is None else metric
     if metric.dimension != n:
         raise DimensionMismatchError("metric dimension does not match n")
-    return Decomposition._flat(
-        metric, np.arange(n + 1), np.arange(n), np.ones(n), metric.diagonal()
-    )
+    return Decomposition(metric, np.arange(n + 1), np.arange(n), np.ones(n))
 
 
 def block_decomposition(partition, metric):
@@ -405,16 +350,17 @@ def block_decomposition(partition, metric):
     if not blocks:
         raise ValueError("partition must contain at least one block")
     flat = np.concatenate(blocks)
-    if flat.size != n or np.unique(flat).size != flat.size or np.any(
-        (flat < 0) | (flat >= n)
-    ):
+    if flat.size != n or not np.array_equal(np.unique(flat), np.arange(n)):
         raise ValueError("partition must cover {0..n-1} with disjoint blocks")
     if any(b.size == 0 for b in blocks):
         raise ValueError("empty block in partition")
-    eyes = [np.eye(b.size) for b in blocks]
+    k = [b.size for b in blocks]
     return Decomposition(
-        [Subspace(n, b, e, _galerkin(metric, b, e)) for b, e in zip(blocks, eyes)],
         metric,
+        np.cumsum([0] + [s * s for s in k]),
+        np.concatenate([np.repeat(b, b.size) for b in blocks]),
+        np.concatenate([np.eye(s).ravel() for s in k]),
+        k=k,
     )
 
 
@@ -447,52 +393,22 @@ def multilevel_nodal_decomposition(level, metric=None):
         # Every hat of a level has width 2 * stride - 1: centres never clip.
         span = np.arange(1 - stride, stride)
         rows.append((np.arange(stride - 1, n, stride)[:, None] + span).ravel())
-        vals.append(np.tile(1.0 - np.abs(span) / stride, n // stride))
+        vals.append(np.repeat([1.0 - np.abs(span) / stride], n // stride, 0).ravel())
     offsets = np.concatenate(([0], np.cumsum(np.repeat(2 * strides - 1, counts))))
-    rows, vals = np.concatenate(rows), np.concatenate(vals)
-    scalars = _energies(metric, offsets, rows, vals)
-    return Decomposition._flat(
-        metric, offsets, rows, vals, scalars, level=np.repeat(levels, counts)
+    return Decomposition(
+        metric,
+        offsets,
+        np.concatenate(rows),
+        np.concatenate(vals),
+        level=np.repeat(levels, counts),
     )
 
 
 # -- per-subspace quantities -------------------------------------------
 
 
-def galerkin_local_matrix(metric, prolongation):
-    """Galerkin product ``P^T A P`` as an SpdOperator.
-
-    ``prolongation`` is a dense (n, k) matrix or a Subspace.  The result
-    is symmetrized exactly before factorization; linearly dependent
-    columns make the product singular and raise ``NotSpdError``.
-    """
-    if isinstance(prolongation, Subspace):
-        return SpdOperator.from_dense(np.atleast_2d(prolongation.galerkin(metric)))
-    p = np.asarray(prolongation, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[:, None]
-    a = metric if isinstance(metric, SpdOperator) else SpdOperator.from_dense(metric)
-    ap = np.column_stack([a.matvec(p[:, c]) for c in range(p.shape[1])])
-    return SpdOperator.from_dense(p.T @ ap)
-
-
-def local_lipschitz_quadratic(hessian, subspace):
-    """Largest eigenvalue of ``A_i^{-1} (P_i^T H P_i)`` for quadratic f.
-
-    This is the smoothness constant of a quadratic with Hessian ``H``
-    restricted to the subspace, measured in the local matrix norm.
-    """
-    hloc = subspace.galerkin(hessian)
-    if subspace.dimension == 1:
-        return float(hloc[0, 0]) / subspace._scalar
-    w = sla.eigh(
-        hloc, subspace.local_matrix.dense(), eigvals_only=True, check_finite=False
-    )
-    return float(w[-1])
-
-
-def rcd_column_lipschitz(hessian, i):
-    """Euclidean norm of column ``i`` of the Hessian.
+def rcd_column_lipschitz(hessian):
+    """Euclidean norms of the Hessian's columns, one per coordinate.
 
     The classical coordinate-descent benchmark protocol uses column
     norms (not diagonal entries) as per-coordinate step constants.
@@ -500,48 +416,47 @@ def rcd_column_lipschitz(hessian, i):
     if isinstance(hessian, SpdOperator):
         if hessian.is_banded:
             d, e = hessian.bands
-            n = d.size
-            if not 0 <= i < n:
-                raise IndexError(f"column index {i} out of range")
-            v = d[i] ** 2
-            if i > 0:
-                v += e[i - 1] ** 2
-            if i + 1 < n:
-                v += e[i] ** 2
-            return float(np.sqrt(v))
+            # d_i^2 + e_{i-1}^2 + e_i^2, summed in that order
+            v = d * d
+            v[1:] += e * e
+            v[:-1] += e * e
+            return np.sqrt(v)
         hessian = hessian.dense()
-    hessian = np.asarray(hessian, dtype=np.float64)
-    return float(np.linalg.norm(hessian[:, i]))
+    # One norm per column keeps the bits of the single-column norm.
+    columns = np.asarray(hessian, dtype=np.float64).T
+    return np.array([np.linalg.norm(c) for c in columns])
 
 
 def with_quadratic_lipschitz(decomposition, hessian):
     """Copy of a decomposition with local Lipschitz constants of a
-    quadratic objective with the given Hessian."""
-    lip = decomposition.local_energies(hessian) / decomposition.scalars
-    for i in decomposition.blocks:
-        lip[i] = local_lipschitz_quadratic(hessian, decomposition[i])
-    if not np.all(lip > 0):
-        raise ValueError("local Lipschitz constant must be positive")
-    return decomposition._with_lipschitz(lip)
+    quadratic objective with the given Hessian.
+
+    The constant of subspace i is the largest eigenvalue of
+    ``A_i^{-1} (P_i^T H P_i)``: the smoothness of the quadratic
+    restricted to the subspace, measured in the local matrix norm.
+    """
+    d = decomposition
+    lip = d.local_energies(hessian) / d.scalars
+    for i, block in d.blocks.items():
+        hloc = _galerkin(hessian, *d._basis(i))
+        w = sla.eigh(hloc, block.dense(), eigvals_only=True, check_finite=False)
+        lip[i] = w[-1]
+    return with_local_lipschitz(d, lip)
 
 
 def with_local_lipschitz(decomposition, values):
-    """Copy of a decomposition with explicitly given Lipschitz constants."""
+    """Copy of a decomposition with explicitly given Lipschitz constants,
+    sharing every other array."""
     values = as_vector(values, len(decomposition)).copy()
-    if np.any(values <= 0):
-        raise ValueError("Lipschitz constants must be positive")
-    return decomposition._with_lipschitz(values)
+    if not np.all(values > 0):
+        raise ValueError("local Lipschitz constant must be positive")
+    out = copy.copy(decomposition)
+    out.lipschitz = _frozen(values, np.float64)
+    out._subspaces = None
+    return out
 
 
 # -- stability constant ------------------------------------------------
-
-
-def _apply_splitting_sum(decomposition, v):
-    """Apply ``B = sum_i P_i A_i^{-1} P_i^T`` to a vector."""
-    out = np.zeros_like(v)
-    for s in decomposition.subspaces:
-        out[s.support] += s.basis @ s.solve_local(s.basis.T @ v[s.support])
-    return out
 
 
 def stability_constant(decomposition, dense_limit=DENSE_EIG_LIMIT, tol=1e-6):
@@ -556,20 +471,21 @@ def stability_constant(decomposition, dense_limit=DENSE_EIG_LIMIT, tol=1e-6):
 
     Up to ``dense_limit`` ambient dimensions this is a dense generalized
     eigensolve; beyond it, shifted power iteration in the metric inner
-    product with relative tolerance ``tol``.  Raises if the subspaces do
-    not span R^n.
+    product with relative tolerance ``tol``, applying B through the flat
+    kernel.  Raises if the subspaces do not span R^n.
     """
-    a = decomposition.preconditioner
+    d = decomposition
+    a = d.preconditioner
     n = a.dimension
     if n <= dense_limit:
         b = np.zeros((n, n))
-        for s in decomposition.subspaces:
-            if s.dimension == 1:
-                col = s.basis[:, 0]
-                blk = np.outer(col, col) / s._scalar
+        for i in range(len(d)):
+            support, basis = d._basis(i)
+            if i in d.blocks:
+                blk = basis @ d.blocks[i].solve_columns(basis.T)
             else:
-                blk = s.basis @ s.local_matrix.solve_columns(s.basis.T)
-            b[np.ix_(s.support, s.support)] += blk
+                blk = np.outer(basis, basis) / d.scalars[i]
+            b[np.ix_(support, support)] += blk
         ad = a.dense()
         m = ad @ b @ ad
         w = sla.eigh(m, ad, eigvals_only=True, check_finite=False)
@@ -579,7 +495,7 @@ def stability_constant(decomposition, dense_limit=DENSE_EIG_LIMIT, tol=1e-6):
         return 1.0 / lo
 
     def apply_p(v):
-        return _apply_splitting_sum(decomposition, a.matvec(v))
+        return d.prolong(d.solve_local(d.restrict(a.matvec(v))))
 
     lam_max = _power_iteration(apply_p, a, n, tol=tol, seed=7)
     shift = 1.01 * lam_max
@@ -631,18 +547,13 @@ def export_decomposition(decomposition, path):
     every column a run of 0-based ``row:value`` pairs, columns separated
     by `` | ``.
     """
+    d = decomposition
+    lip, lev = d.lipschitz.tolist(), d.level.tolist()
     with open(path, "w") as fh:
-        for i, s in enumerate(decomposition.subspaces):
-            cols = []
-            for c in range(s.dimension):
-                cols.append(
-                    " ".join(
-                        f"{int(r)}:{float(v)!r}"
-                        for r, v in zip(s.support, s.basis[:, c])
-                    )
-                )
-            fh.write(
-                f"{i} {s.level} {s.dimension} {float(s.local_lipschitz)!r} "
-                + " | ".join(cols)
-                + "\n"
+        for i in range(len(d)):
+            support, basis = d._basis(i)
+            cols = " | ".join(
+                " ".join(f"{r}:{v!r}" for r, v in zip(support.tolist(), col.tolist()))
+                for col in basis.T
             )
+            fh.write(f"{i} {lev[i]} {basis.shape[1]} {lip[i]!r} {cols}\n")

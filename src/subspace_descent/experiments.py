@@ -138,17 +138,12 @@ def build_problem(spec):
     else:
         raise ValueError(f"unknown problem {spec.problem!r}")
 
-    hess = (
-        objective.hessian
-        if objective.hessian is not None
-        else objective.hessian_matrix
-    )
+    hess = objective.hessian_matrix
     if method in ("gd", "pgd"):
         return objective, None
     if method == "rcd":
         d = coordinate_decomposition(n)
-        lips = [rcd_column_lipschitz(hess, i) for i in range(n)]
-        return objective, with_local_lipschitz(d, lips)
+        return objective, with_local_lipschitz(d, rcd_column_lipschitz(hess))
     if method == "rbcd":
         size = spec.block_size or 2
         if size < 1:

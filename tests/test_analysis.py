@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from packing import mixed_family
 from subspace_descent.analysis import (
     RateFit,
     decomposition_identity_check,
@@ -20,10 +21,28 @@ from subspace_descent.decomposition import (
     coordinate_decomposition,
     multilevel_nodal_decomposition,
     with_local_lipschitz,
+    with_quadratic_lipschitz,
 )
 from subspace_descent.linalg import SpdOperator, a_norm, dirichlet_laplacian
-from subspace_descent.objectives import nesterov_worst, quadratic_minimizer
-from subspace_descent.solvers import SolverConfig, run_solver
+from subspace_descent.objectives import (
+    Objective,
+    QuadraticObjective,
+    nesterov_worst,
+    quadratic_minimizer,
+)
+from subspace_descent.solvers import SolverConfig, rfasd_step, run_solver
+
+
+class QuarticObjective(Objective):
+    """f(x) = sum(x^4 / 4 + x^2 / 2): smooth and convex, not quadratic."""
+
+    dimension = 7
+
+    def value(self, x):
+        return float(np.sum(0.25 * x**4 + 0.5 * x**2))
+
+    def gradient(self, x):
+        return x**3 + x
 
 
 class TestMetricConstants:
@@ -238,7 +257,7 @@ class TestExpectedDecay:
         from subspace_descent.decomposition import rcd_column_lipschitz
 
         obj = nesterov_worst(7)
-        lips = [rcd_column_lipschitz(obj.hessian, i) for i in range(7)]
+        lips = rcd_column_lipschitz(obj.hessian)
         d = with_local_lipschitz(coordinate_decomposition(7), lips)
         uni = expected_decay_check(np.ones(7), obj, d, "uniform")
         prop = expected_decay_check(np.ones(7), obj, d, "proportional")
@@ -269,6 +288,35 @@ class TestExpectedDecay:
         p = d.lipschitz / d.lipschitz.sum()
         chk = expected_decay_check(np.ones(7), obj, d, p)
         assert chk.passed and not chk.conservative
+
+    @pytest.mark.parametrize("hessian", ["banded", "dense"])
+    @pytest.mark.parametrize("probs", ["uniform", "proportional"])
+    def test_closed_form_matches_enumeration(self, hessian, probs):
+        # hats, k = 2 bases and a non-contiguous subspace in one family
+        if hessian == "banded":
+            obj = nesterov_worst(7)
+        else:
+            m = np.random.default_rng(8).standard_normal((7, 7))
+            h = SpdOperator.from_dense(m @ m.T + 7.0 * np.eye(7))
+            obj = QuadraticObjective(h, np.arange(7.0))
+        d = with_quadratic_lipschitz(mixed_family(), obj.hessian)
+        lip = d.lipschitz
+        p = np.full(len(d), 1.0 / len(d)) if probs == "uniform" else lip / lip.sum()
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            x = rng.standard_normal(7)
+            chk = expected_decay_check(x, obj, d, probs)
+            expect = sum(
+                p[i] * obj.value(rfasd_step(x, s, obj)) for i, s in enumerate(d)
+            )
+            assert_allclose(chk.expected_value, expect, rtol=1e-12)
+            assert_allclose(chk.decrease, obj.value(x) - expect, rtol=1e-10)
+            assert chk.passed
+
+    def test_non_quadratic_rejected(self):
+        d = multilevel_nodal_decomposition(3)
+        with pytest.raises(ValueError, match="quadratic"):
+            expected_decay_check(np.ones(7), QuarticObjective(), d)
 
     def test_bad_probabilities_rejected(self):
         obj = nesterov_worst(7)

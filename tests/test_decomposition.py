@@ -2,16 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
+from packing import mixed_family, pack, parts_of
+from subspace_descent.analysis import (
+    decomposition_identity_check,
+    expected_decay_check,
+)
 from subspace_descent.decomposition import (
     Decomposition,
-    Subspace,
     block_decomposition,
     coordinate_decomposition,
     export_decomposition,
-    galerkin_local_matrix,
-    local_lipschitz_quadratic,
     multilevel_nodal_decomposition,
     rcd_column_lipschitz,
     stability_constant,
@@ -26,6 +29,11 @@ from subspace_descent.linalg import (
 )
 from subspace_descent.objectives import nesterov_worst
 from subspace_descent.solvers import SolverConfig, run_solver
+
+
+def columns(d):
+    """The (n, sum k) matrix of every basis column, prolonged."""
+    return np.column_stack([d.prolong(e) for e in np.eye(d.slots[-1])])
 
 
 class TestCoordinate:
@@ -44,12 +52,7 @@ class TestCoordinate:
             assert np.array_equal(s.local_matrix.dense(), [[2.0]])
 
     def test_prolongation_columns_are_units(self):
-        d = coordinate_decomposition(4)
-        for i, s in enumerate(d):
-            col = s.prolongation_dense()[:, 0]
-            e = np.zeros(4)
-            e[i] = 1.0
-            assert np.array_equal(col, e)
+        assert np.array_equal(columns(coordinate_decomposition(4)), np.eye(4))
 
 
 class TestBlock:
@@ -103,7 +106,7 @@ class TestMultilevelNodal:
     def test_level1_single_node(self):
         d = multilevel_nodal_decomposition(1)
         assert len(d) == 1
-        assert np.array_equal(d[0].prolongation_dense(), [[1.0]])
+        assert np.array_equal(columns(d), [[1.0]])
 
     def test_finest_level_comes_first(self):
         d = multilevel_nodal_decomposition(3)
@@ -126,8 +129,7 @@ class TestMultilevelNodal:
     def test_surjective(self, level):
         d = multilevel_nodal_decomposition(level)
         n = d.ambient_dimension
-        cols = np.hstack([s.prolongation_dense() for s in d])
-        assert np.linalg.matrix_rank(cols) == n
+        assert np.linalg.matrix_rank(columns(d)) == n
 
     def test_level_attribute_recorded(self):
         d = multilevel_nodal_decomposition(3)
@@ -145,7 +147,7 @@ class TestMultilevelNodal:
 class TestGalerkin:
     def test_identity_prolongation_returns_metric(self):
         a = dirichlet_laplacian(3)
-        g = galerkin_local_matrix(a, np.eye(3))
+        g = pack(a, [(range(3), np.eye(3))]).blocks[0]
         assert_allclose(g.dense(), a.dense(), rtol=0, atol=0)
 
     def test_interior_hat_energy(self):
@@ -156,20 +158,15 @@ class TestGalerkin:
             hat = np.maximum(
                 0.0, 1.0 - np.abs(np.arange(1, n + 1) - (peak + 1)) / stride
             )
-            g = galerkin_local_matrix(a, hat.reshape(-1, 1))
-            assert_allclose(g.dense(), [[2.0 / stride]], rtol=1e-14)
+            sup = np.flatnonzero(hat)
+            g = pack(a, [(sup, hat[sup])]).scalars
+            assert_allclose(g, [2.0 / stride], rtol=1e-14)
 
     def test_coarsest_hat_seven(self):
         a = dirichlet_laplacian(7)
         hat = np.array([0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25])
-        g = galerkin_local_matrix(a, hat.reshape(-1, 1))
-        assert_allclose(g.dense(), [[0.5]], rtol=1e-14)
-
-    def test_rank_deficient_rejected(self):
-        a = SpdOperator.identity(3)
-        p = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
-        with pytest.raises(ValueError):
-            galerkin_local_matrix(a, p)
+        g = pack(a, [(range(7), hat)]).scalars
+        assert_allclose(g, [0.5], rtol=1e-14)
 
     @pytest.mark.parametrize("level", [3, 4])
     def test_reproduces_metric_inner_product(self, level):
@@ -187,19 +184,13 @@ class TestGalerkin:
 class TestLocalLipschitz:
     def test_hessian_equals_metric(self):
         d = multilevel_nodal_decomposition(3)
-        h = d.preconditioner
-        for s in d:
-            assert local_lipschitz_quadratic(h, s) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        lip = with_quadratic_lipschitz(d, d.preconditioner).lipschitz
+        assert_allclose(lip, 1.0, rtol=0, atol=1e-12)
 
     def test_scaling(self):
         d = multilevel_nodal_decomposition(3)
-        h = dirichlet_laplacian(7, scale=2.0)
-        for s in d:
-            assert local_lipschitz_quadratic(h, s) == pytest.approx(
-                2.0, rel=1e-12
-            )
+        lip = with_quadratic_lipschitz(d, dirichlet_laplacian(7, scale=2.0)).lipschitz
+        assert_allclose(lip, 2.0, rtol=1e-12)
 
     def test_one_dimensional_is_rayleigh_quotient(self):
         a = dirichlet_laplacian(5)
@@ -218,24 +209,29 @@ class TestLocalLipschitz:
 class TestRcdColumn:
     def test_laplacian_columns(self):
         h = dirichlet_laplacian(5)
-        assert rcd_column_lipschitz(h, 2) == pytest.approx(np.sqrt(6.0))
-        assert rcd_column_lipschitz(h, 0) == pytest.approx(np.sqrt(5.0))
-        assert rcd_column_lipschitz(h, 4) == pytest.approx(np.sqrt(5.0))
+        assert_allclose(
+            rcd_column_lipschitz(h), np.sqrt([5.0, 6.0, 6.0, 6.0, 5.0]), rtol=1e-15
+        )
 
     def test_identity(self):
-        h = SpdOperator.identity(4)
-        for i in range(4):
-            assert rcd_column_lipschitz(h, i) == 1.0
+        assert np.array_equal(rcd_column_lipschitz(SpdOperator.identity(4)), np.ones(4))
+
+    def test_banded_summation_order(self):
+        # d_i^2 + e_{i-1}^2 + e_i^2 in that order, so rcd traces keep their bits
+        rng = np.random.default_rng(5)
+        d, e = 4.0 + rng.random(200), rng.standard_normal(199)
+        expect = [d[0] ** 2 + e[0] ** 2]
+        expect += [d[i] ** 2 + e[i - 1] ** 2 + e[i] ** 2 for i in range(1, 199)]
+        expect += [d[199] ** 2 + e[198] ** 2]
+        got = rcd_column_lipschitz(SpdOperator.tridiagonal(d, e))
+        assert np.array_equal(got, np.sqrt(expect))
 
     def test_matches_dense_norm(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((6, 6))
         m = w @ w.T + 6 * np.eye(6)
-        h = SpdOperator.from_dense(m)
-        for i in range(6):
-            assert rcd_column_lipschitz(h, i) == pytest.approx(
-                np.linalg.norm(m[:, i]), rel=1e-14
-            )
+        got = rcd_column_lipschitz(SpdOperator.from_dense(m))
+        assert_allclose(got, [np.linalg.norm(m[:, i]) for i in range(6)], rtol=1e-14)
 
 
 class TestStabilityConstant:
@@ -263,9 +259,8 @@ class TestStabilityConstant:
         c = stability_constant(d)
         rng = np.random.default_rng(0)
         order = rng.permutation(len(d))
-        shuffled = Decomposition(
-            [d[int(i)] for i in order], d.preconditioner
-        )
+        parts = parts_of(d)
+        shuffled = pack(d.preconditioner, [parts[i] for i in order])
         assert stability_constant(shuffled) == pytest.approx(c, rel=1e-12)
 
     def test_power_iteration_matches_dense(self):
@@ -285,21 +280,11 @@ class TestSubspaceMechanics:
         d = multilevel_nodal_decomposition(3)
         rng = np.random.default_rng(1)
         g = rng.standard_normal(7)
-        for s in d:
+        expect = columns(d).T @ g
+        for s, lo in zip(d, d.slots):
             r = s.restrict(g)
             assert r.shape == (s.dimension,)
-            assert_allclose(r, s.prolongation_dense().T @ g, rtol=1e-14)
-
-    def test_add_prolonged_matches_dense(self):
-        d = multilevel_nodal_decomposition(3)
-        rng = np.random.default_rng(7)
-        for s in d:
-            x = rng.standard_normal(7)
-            v = rng.standard_normal(s.dimension)
-            expect = x + s.prolongation_dense() @ v
-            got = x.copy()
-            s.add_prolonged(got, v)
-            assert_allclose(got, expect, rtol=1e-14)
+            assert_allclose(r, expect[lo : lo + s.dimension], rtol=1e-14)
 
     def test_solve_local_inverts(self):
         d = multilevel_nodal_decomposition(4)
@@ -309,15 +294,86 @@ class TestSubspaceMechanics:
             y = s.solve_local(b)
             assert_allclose(s.local_matrix.matvec(y), b, rtol=1e-10, atol=1e-12)
 
-    def test_support_must_increase(self):
-        with pytest.raises(ValueError):
-            Subspace(
-                support=np.array([2, 1]),
-                basis=np.ones((2, 1)),
-                ambient_dimension=4,
-                local_matrix=SpdOperator.identity(1),
-                local_lipschitz=1.0,
-            )
+
+# One malformed input each on R^4: (offsets, rows, vals, keywords, message).
+MALFORMED = {
+    "support-not-increasing-k1": (
+        [0, 2], [2, 1], [1.0, 1.0], {}, "strictly increasing"
+    ),
+    "support-not-increasing-k2": (
+        [0, 4], [1, 1, 0, 0], [1.0, 0, 0, 1.0], {"k": [2]}, "strictly increasing"
+    ),
+    "support-row-not-repeated-k2": (
+        [0, 4], [0, 1, 2, 2], [1.0, 0, 0, 1.0], {"k": [2]}, "k times"
+    ),
+    "row-out-of-range": ([0, 2], [2, 4], [1.0, 1.0], {}, "out of range"),
+    "row-negative": ([0, 1], [-1], [1.0], {}, "out of range"),
+    "zero-basis": ([0, 1, 3], [0, 1, 2], [1.0, 0.0, 0.0], {}, "zero"),
+    "rank-deficient-basis": (
+        [0, 6], [0, 0, 1, 1, 2, 2], [1.0, 2.0, 0.0, 0.0, 1.0, 2.0], {"k": [2]},
+        "linearly dependent",
+    ),
+    "run-not-divisible-by-k": (
+        [0, 3], [0, 1, 2], [1.0, 1.0, 1.0], {"k": [2]}, "multiple of k"
+    ),
+    "lipschitz-zero": (
+        [0, 1, 2], [0, 1], [1.0, 1.0], {"lipschitz": [1.0, 0.0]}, "Lipschitz"
+    ),
+    "lipschitz-negative": ([0, 1], [3], [1.0], {"lipschitz": [-2.0]}, "Lipschitz"),
+}
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_rejects_malformed(self, case):
+        offsets, rows, vals, named, message = MALFORMED[case]
+        with pytest.raises(ValueError, match=message):
+            Decomposition(dirichlet_laplacian(4), offsets, rows, vals, **named)
+
+    def test_rejects_inconsistent_lengths(self):
+        with pytest.raises(DimensionMismatchError):
+            Decomposition(SpdOperator.identity(3), [0, 1, 2], [0, 1], [1.0, 1.0], k=[1])
+
+    def test_defaults(self):
+        d = Decomposition(dirichlet_laplacian(3), [0, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0])
+        assert d.k.tolist() == [1, 1] and d.level.tolist() == [0, 0]
+        assert d.lipschitz.tolist() == [1.0, 1.0] and d.blocks == {}
+        assert d.scalars.tolist() == [2.0, 2.0]
+        assert not d.rows.flags.writeable and not d.scalars.flags.writeable
+
+
+class TestFlatKernel:
+    def test_matches_views(self):
+        d = mixed_family()
+        m = np.random.default_rng(8).standard_normal((7, 7))
+        h = SpdOperator.from_dense(m @ m.T + 7.0 * np.eye(7))
+        assert sorted(d.blocks) == [11, 12] and d.slots[-1] == len(d) + 2
+        v = np.random.default_rng(3).standard_normal(7)
+        c = d.restrict(v)
+        solved, applied = d.solve_local(c), d.apply_local(c)
+        curved = d.apply_local(c, h)
+        total = np.zeros(7)
+        for s, lo in zip(d, d.slots):
+            at = slice(lo, lo + s.dimension)
+            assert_allclose(c[at], s.restrict(v), rtol=1e-14)
+            assert_allclose(solved[at], s.solve_local(c[at]), rtol=1e-14)
+            assert_allclose(applied[at], s.local_matrix.matvec(c[at]), rtol=1e-14)
+            assert_allclose(curved[at], s.galerkin(h) @ c[at], rtol=1e-14)
+            total += s.prolong(c[at])
+        assert_allclose(d.prolong(c), total, rtol=1e-14)
+
+    def test_theory_tools_leave_views_unbuilt(self):
+        obj = nesterov_worst(63)
+        d = with_quadratic_lipschitz(multilevel_nodal_decomposition(6), obj.hessian)
+        rng = np.random.default_rng(0)
+        assert decomposition_identity_check(rng.standard_normal(63), d).passed
+        assert expected_decay_check(rng.standard_normal(63), obj, d).passed
+        assert stability_constant(d) == pytest.approx(1.0, abs=1e-9)
+        assert d._subspaces is None
+        # the matrix-free path applies B through the kernel too
+        small = multilevel_nodal_decomposition(4)
+        assert stability_constant(small, dense_limit=4) == pytest.approx(1.0, rel=1e-6)
+        assert small._subspaces is None
 
 
 def test_export_format(tmp_path):
@@ -404,37 +460,35 @@ class TestFlatLayout:
         a = dirichlet_laplacian(7)
         hats = multilevel_nodal_decomposition(3)
         blocks = block_decomposition([[0, 1, 2], [3, 4], [5], [6]], a)
-        basis = np.array([[1.0, 0.5], [0.0, 1.0], [2.0, -1.0]])
-        p = np.zeros((7, 2))
-        p[[1, 3, 4]] = basis
-        skew = Subspace(7, [1, 3, 4], basis, galerkin_local_matrix(a, p))
-        pool = [*hats, *blocks, skew]
-        subs = []
-        for i in np.random.default_rng(4).permutation(len(pool)):
-            s = pool[i]
-            lip = 1.0 + i
-            subs.append(Subspace(7, s.support, s.basis, s.local_matrix, lip, s.level))
-        d = Decomposition(subs, a)
-        assert d.subspaces == tuple(subs)
-        assert d.k.tolist() == [s.dimension for s in subs]
-        for s, lo, hi in zip(subs, d.offsets[:-1], d.offsets[1:]):
-            assert np.array_equal(d.rows[lo:hi], np.repeat(s.support, s.dimension))
-            assert np.array_equal(d.vals[lo:hi], s.basis.ravel())
-        assert sorted(d.blocks) == [i for i, s in enumerate(subs) if s.dimension > 1]
-        # a copy drops the cached views and rebuilds them from the arrays
+        skew = ([1, 3, 4], np.array([[1.0, 0.5], [0.0, 1.0], [2.0, -1.0]]))
+        pool = [*parts_of(hats), *parts_of(blocks), skew]
+        levels = [*hats.level, *blocks.level, 0]
+        order = np.random.default_rng(4).permutation(len(pool))
+        parts = [pool[i] for i in order]
+        d = pack(a, parts, lipschitz=1.0 + order, level=[levels[i] for i in order])
+        k = [np.shape(b)[1] for _, b in parts]
+        assert d.k.tolist() == k
+        for (sup, basis), lo, hi in zip(parts, d.offsets[:-1], d.offsets[1:]):
+            assert np.array_equal(d.rows[lo:hi], np.repeat(sup, np.shape(basis)[1]))
+            assert np.array_equal(d.vals[lo:hi], np.ravel(basis))
+        assert sorted(d.blocks) == [i for i, c in enumerate(k) if c > 1]
+        # views read the arrays back; a copy rebuilds them
         copy = with_local_lipschitz(d, d.lipschitz)
-        for s, v in zip(subs, copy):
+        dense = a.dense()
+        for i, ((sup, basis), s, v) in enumerate(zip(parts, d, copy)):
             assert v is not s
-            assert np.array_equal(v.support, s.support)
-            assert np.array_equal(v.basis, s.basis)
-            assert np.array_equal(v.local_matrix.dense(), s.local_matrix.dense())
-            assert (v.local_lipschitz, v.level) == (s.local_lipschitz, s.level)
+            assert np.array_equal(v.support, sup)
+            assert np.array_equal(v.basis, basis)
+            local = basis.T @ dense[np.ix_(sup, sup)] @ basis
+            assert_allclose(v.local_matrix.dense(), local, rtol=1e-14)
+            assert (v.local_lipschitz, v.level) == (1.0 + order[i], levels[order[i]])
         h = dirichlet_laplacian(7, scale=1.5)
-        assert_allclose(
-            with_quadratic_lipschitz(d, h).lipschitz,
-            [local_lipschitz_quadratic(h, s) for s in subs],
-            rtol=1e-14,
-        )
+        expect = []
+        for sup, basis in parts:
+            hloc = basis.T @ h.dense()[np.ix_(sup, sup)] @ basis
+            aloc = basis.T @ dense[np.ix_(sup, sup)] @ basis
+            expect.append(sla.eigh(hloc, aloc, eigvals_only=True)[-1])
+        assert_allclose(with_quadratic_lipschitz(d, h).lipschitz, expect, rtol=1e-14)
         assert stability_constant(d, dense_limit=4) == pytest.approx(
             stability_constant(d), rel=1e-4
         )

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from packing import mixed_family
 from subspace_descent.decomposition import (
-    Decomposition,
-    Subspace,
     block_decomposition,
     coordinate_decomposition,
-    galerkin_local_matrix,
     multilevel_nodal_decomposition,
     with_local_lipschitz,
     with_quadratic_lipschitz,
 )
-from subspace_descent.linalg import NotSpdError, SpdOperator, dirichlet_laplacian
+from subspace_descent.linalg import NotSpdError, SpdOperator
 from subspace_descent.objectives import (
     QuadraticObjective,
     nesterov_worst,
@@ -190,9 +188,9 @@ class TestRunSolver:
         from subspace_descent.decomposition import rcd_column_lipschitz
 
         obj = nesterov_worst(7)
-        lips = [rcd_column_lipschitz(obj.hessian, i) for i in range(7)]
         d = with_local_lipschitz(
-            coordinate_decomposition(7, SpdOperator.identity(7)), lips
+            coordinate_decomposition(7, SpdOperator.identity(7)),
+            rcd_column_lipschitz(obj.hessian),
         )
         tr = run_solver(SolverConfig(method="rcd", sampler="cyclic"), obj, d)
         assert tr.converged
@@ -238,13 +236,7 @@ class TestRunSolver:
 
     @pytest.mark.parametrize("hessian", ["banded", "dense"])
     def test_replay_mixed_decomposition(self, hessian):
-        # hats, a k = 2 block and a non-contiguous subspace in one family
-        a = dirichlet_laplacian(7)
-        p = np.zeros((7, 1))
-        p[[0, 3, 5], 0] = [1.0, -0.5, 2.0]
-        gap = Subspace(7, [0, 3, 5], p[[0, 3, 5]], galerkin_local_matrix(a, p))
-        pair = block_decomposition([[1, 2], [0], [3], [4], [5], [6]], a)[0]
-        subs = [*multilevel_nodal_decomposition(3), pair, gap]
+        # hats, k = 2 bases and a non-contiguous subspace in one family
         if hessian == "banded":
             obj = nesterov_worst(7)
         else:
@@ -252,10 +244,10 @@ class TestRunSolver:
             h = SpdOperator.from_dense(m @ m.T + 7.0 * np.eye(7))
             obj = QuadraticObjective(h, np.arange(7.0))
         assert obj.hessian.is_banded == (hessian == "banded")
-        d = with_quadratic_lipschitz(Decomposition(subs, a), obj.hessian)
+        d = with_quadratic_lipschitz(mixed_family(), obj.hessian)
         cfg = SolverConfig(method="rfasd", seed=5, max_iterations=200)
         tr = run_solver(cfg, obj, d)
-        assert set(tr.chosen.tolist()) == set(range(len(subs)))
+        assert set(tr.chosen.tolist()) == set(range(len(d)))
         x, f = np.ones(7), [obj.value(np.ones(7))]
         for i in tr.chosen:
             x = rfasd_step(x, d[int(i)], obj)
