@@ -55,10 +55,12 @@ def main():
     print(f"computed stability constant:                      "
           f"{multi.stability_constant:.6f}")
 
-    # A subspace carries its support, basis, local matrix and level.
-    s = multi[len(multi) - 1]  # the single coarsest hat
-    print(f"\ncoarsest hat: level={s.level}, support size={s.support.size}, "
-          f"local matrix={s.local_matrix.dense()[0, 0]:.4f}")
+    # Subspace i is an index into flat arrays: basis(i) gives its
+    # support and basis, scalars[i] its local matrix where k = 1.
+    i = len(multi) - 1  # the single coarsest hat
+    support = multi.basis(i)[0]
+    print(f"\ncoarsest hat: level={multi.level[i]}, support size={support.size}, "
+          f"local matrix={multi.scalars[i]:.4f}")
 
 
 if __name__ == "__main__":

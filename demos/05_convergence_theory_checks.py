@@ -36,7 +36,7 @@ def main():
     # Convexity and smoothness measured against the decomposition
     # metric.  With metric == Hessian both constants are exactly 1.
     mu, lip = quadratic_metric_constants(obj.hessian, d.preconditioner)
-    lbar = float(np.mean([s.local_lipschitz for s in d]))
+    lbar = d.mean_lipschitz
     c = d.stability_constant
     print(f"mu_A={mu:.6f}  L_A={lip:.6f}  mean local L={lbar:.6f}  C_A={c:.6f}")
 

@@ -46,10 +46,10 @@ from .objectives import (
     nesterov_matrix_form,
     nesterov_worst,
     quadratic_minimizer,
+    save_quadratic_problem,
 )
 from .decomposition import (
     Decomposition,
-    Subspace,
     block_decomposition,
     coordinate_decomposition,
     export_decomposition,
@@ -59,9 +59,11 @@ from .decomposition import (
     with_local_lipschitz,
     with_quadratic_lipschitz,
 )
-from .sampling import Sampler, make_sampler
+from .sampling import SAMPLER_KINDS, Sampler, make_sampler
 from .solvers import (
+    METHODS,
     DivergenceError,
+    LocalSolveError,
     QuadraticEnergyLocal,
     RunTrace,
     SolverConfig,

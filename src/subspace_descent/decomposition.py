@@ -6,13 +6,13 @@ small support set), together with a metric operator A.  Each subspace
 carries its Galerkin local matrix ``A_i = P_i^T A P_i`` and a local
 Lipschitz constant used for step sizes and sampling weights.
 
-A :class:`Decomposition` stores the family in flat arrays, so the
-multilevel hats cost O(n log n) time and memory.  Every builder goes
-through its one validating constructor, and one flat kernel on it
-restricts, solves or applies the local matrices, and prolongs and sums
-for all subspaces at once.  :class:`Subspace` is the read-only view of
-one subspace.  Energies under a tridiagonal operator come from its
-bands, which are never densified.
+A :class:`Decomposition` stores the family in flat arrays, its only
+representation, so the multilevel hats cost O(n log n) time and
+memory.  Every builder goes through its one validating constructor, and
+one flat kernel on it restricts, solves or applies the local matrices,
+and prolongs and sums for all subspaces at once.  The local matrices of
+an operator come from one cached pass; energies under a tridiagonal
+operator come from its bands, which are never densified.
 
 Index convention: all supports, basis rows, and subspace indices are
 0-based throughout the package.
@@ -35,7 +35,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "Subspace",
     "Decomposition",
     "coordinate_decomposition",
     "block_decomposition",
@@ -73,57 +72,6 @@ def _frozen(a, dtype):
     return a
 
 
-class Subspace:
-    """Read-only view of one subspace of a :class:`Decomposition`.
-
-    ``support`` holds the strictly increasing 0-based rows where the
-    basis columns are nonzero and ``basis`` the (len(support), k)
-    columns on them; ``local_lipschitz`` and ``level`` are the
-    subspace's Lipschitz constant and grid level (finest = largest, 0
-    for flat families like coordinates and blocks).  Views are made only
-    by ``Decomposition.subspaces``, share its arrays and are not
-    validated again.
-    """
-
-    def __init__(self, n, support, basis, scalar, local, lipschitz, level):
-        self.ambient_dimension, self.support, self.basis = n, support, basis
-        self.local_lipschitz, self.level, self._local = lipschitz, level, local
-        self._scalar = scalar if local is None else None
-
-    @property
-    def local_matrix(self):
-        """The k-by-k local SPD matrix (built on first use in k = 1 views)."""
-        if self._local is None:
-            self._local = SpdOperator.from_dense([[self._scalar]])
-        return self._local
-
-    @property
-    def dimension(self):
-        """Number of basis columns k (not the ambient dimension)."""
-        return self.basis.shape[1]
-
-    def restrict(self, full):
-        """Apply ``P_i^T`` to a full-space vector."""
-        return self.basis.T @ full[self.support]
-
-    def prolong(self, coeffs):
-        """Apply ``P_i`` to local coefficients, returning a full vector."""
-        coeffs = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
-        out = np.zeros(self.ambient_dimension)
-        out[self.support] = self.basis @ coeffs
-        return out
-
-    def galerkin(self, operator):
-        """``P_i^T M P_i`` as a dense (k, k) array, for any symmetric M."""
-        return _galerkin(operator, self.support, self.basis)
-
-    def solve_local(self, v):
-        """Solve ``A_i w = v`` in the local matrix."""
-        if self._scalar is not None:
-            return np.atleast_1d(np.asarray(v, dtype=np.float64)) / self._scalar
-        return self.local_matrix.solve(v)
-
-
 class Decomposition:
     """An ordered family of J subspaces sharing an SPD metric.
 
@@ -140,16 +88,17 @@ class Decomposition:
     passes: consistent lengths (``DimensionMismatchError``); run
     lengths divisible by k; rows inside the metric's range; supports
     strictly increasing; no zero k = 1 column and full column rank
-    where k > 1; positive Lipschitz constants (``ValueError``).  It then
-    computes the local matrices: ``scalars[i]`` is A_i where k = 1 (NaN
+    where k > 1; finite values and positive Lipschitz constants
+    (``ValueError``).  It then computes the local matrices in one
+    :meth:`local_energies` pass: ``scalars[i]`` is A_i where k = 1 (NaN
     elsewhere) and ``blocks`` maps each i with k > 1 to its SpdOperator.
     All arrays are read-only and shared by copies.
 
-    The flat kernel (:meth:`restrict`, :meth:`solve_local`,
-    :meth:`apply_local`, :meth:`prolong`) works on all subspaces at
-    once, on coefficient vectors in which subspace i owns the k[i]
-    consecutive slots ``slots[i]:slots[i+1]``.  ``subspaces`` is a tuple
-    of :class:`Subspace` views, built on first use and cached.
+    :meth:`basis` is the one per-subspace accessor.  The flat kernel
+    (:meth:`restrict`, :meth:`solve_local`, :meth:`apply_local`,
+    :meth:`prolong`) works on all subspaces at once, on coefficient
+    vectors in which subspace i owns the k[i] consecutive slots
+    ``slots[i]:slots[i+1]``.
     """
 
     def __init__(self, metric, offsets, rows, vals, k=None, lipschitz=None, level=None):
@@ -166,6 +115,8 @@ class Decomposition:
             raise DimensionMismatchError("offsets, rows and vals disagree in length")
         if k.shape != (j,) or lipschitz.shape != (j,) or level.shape != (j,):
             raise DimensionMismatchError("k, lipschitz and level need J entries each")
+        if not (np.isfinite(vals).all() and np.isfinite(lipschitz).all()):
+            raise ValueError("vector contains non-finite entries")
         sizes, multi = offsets[1:] - offsets[:-1], (k != 1).any()
         if offsets[0] != 0 or (sizes < 1).any() or (k < 1).any() or (
             multi and (sizes % k).any()
@@ -190,42 +141,30 @@ class Decomposition:
         self.offsets, self.rows, self.vals = offsets, rows, vals
         self.k, self.lipschitz, self.level = k, lipschitz, level
         self.slots = _frozen(np.concatenate(([0], np.cumsum(k))), np.intp)
-        self._subspaces = self._stability = self._energies = self._entry = None
-        self.scalars = self.local_energies(metric)
-        self.blocks = {}
-        for i in np.flatnonzero(k > 1).tolist():
-            support, basis = self._basis(i)
-            if np.linalg.matrix_rank(basis) != basis.shape[1]:
+        self._stability = self._energies = self._entry = None
+        self.scalars, galerkin = self.local_energies(metric)
+        for i in galerkin:
+            if np.linalg.matrix_rank(self.basis(i)[1]) != self.k[i]:
                 raise ValueError("basis columns are linearly dependent")
-            self.blocks[i] = SpdOperator.from_dense(_galerkin(metric, support, basis))
+        self.blocks = {i: SpdOperator.from_dense(m) for i, m in galerkin.items()}
         if not (self.scalars[k == 1] > 0).all():
             raise ValueError("basis column is zero")
 
-    def _basis(self, i):
+    def basis(self, i):
         """Support and (support, k) basis of subspace i, as array views."""
         a, b, k = int(self.offsets[i]), int(self.offsets[i + 1]), int(self.k[i])
         return self.rows[a:b:k], self.vals[a:b].reshape(-1, k)
 
-    @property
-    def subspaces(self):
-        """Tuple of :class:`Subspace` views, built on first use."""
-        if self._subspaces is None:
-            n, scal = self.ambient_dimension, self.scalars.tolist()
-            lip, lev, blk = self.lipschitz.tolist(), self.level.tolist(), self.blocks
-            self._subspaces = tuple(
-                Subspace(n, *self._basis(i), scal[i], blk.get(i), lip[i], lev[i])
-                for i in range(len(self))
-            )
-        return self._subspaces
-
     def local_energies(self, operator):
-        """``P_i^T M P_i`` for every k = 1 subspace (NaN where k > 1).
+        """``(scalars, galerkin)``: every local matrix ``P_i^T M P_i``.
 
+        ``scalars`` holds those of the k = 1 subspaces (NaN where k > 1)
+        and ``galerkin`` maps each i with k > 1 to its dense (k, k) array.
         Two segment sums over the bands for tridiagonal M; else one-entry
         supports at once and one dense Galerkin product per longer
-        support.  Cached for the most recent
-        operator (by identity), so annotating Lipschitz constants and
-        setting up a solver share one pass.
+        support.  Cached for the most recent operator (by identity), so
+        the constructor, Lipschitz constants, :meth:`apply_local` and
+        solver setup share one pass.
         """
         cached = self._energies
         if cached is not None and cached[0] is operator:
@@ -248,8 +187,12 @@ class Decomposition:
             r, v = rows[offsets[:-1][lone]], vals[offsets[:-1][lone]]
             out[lone] = v * np.asarray(m, dtype=np.float64)[r, r] * v
             for i in np.flatnonzero(one & ~lone).tolist():
-                out[i] = _galerkin(operator, *self._basis(i))[0, 0]
-        self._energies = (operator, _frozen(out, np.float64))
+                out[i] = _galerkin(operator, *self.basis(i))[0, 0]
+        galerkin = {
+            i: _frozen(_galerkin(operator, *self.basis(i)), np.float64)
+            for i in np.flatnonzero(~one).tolist()
+        }
+        self._energies = (operator, (_frozen(out, np.float64), galerkin))
         return self._energies[1]
 
     # -- flat kernel: restrict, local solve or apply, prolong-and-sum --
@@ -277,15 +220,16 @@ class Decomposition:
     def apply_local(self, c, operator=None):
         """``M_i c_i`` for every subspace, on flat coefficients.
 
-        ``M_i = P_i^T M P_i`` is the local matrix of ``operator``; the
-        default is the metric, whose local matrices are the A_i.
+        ``M_i = P_i^T M P_i`` is the local matrix of ``operator``, read
+        from :meth:`local_energies`; by default the metric's, the A_i.
         """
-        metric = operator is None
-        scal = self.scalars if metric else self.local_energies(operator)
+        if operator is None:
+            scal, local = self.scalars, {i: b.dense() for i, b in self.blocks.items()}
+        else:
+            scal, local = self.local_energies(operator)
         out = c * np.repeat(scal, self.k)
-        for i, block in self.blocks.items():
+        for i, m in local.items():
             at = slice(*self.slots[i : i + 2])
-            m = block.dense() if metric else _galerkin(operator, *self._basis(i))
             out[at] = m @ c[at]
         return out
 
@@ -296,12 +240,6 @@ class Decomposition:
 
     def __len__(self):
         return self.k.size
-
-    def __iter__(self):
-        return iter(self.subspaces)
-
-    def __getitem__(self, i):
-        return self.subspaces[i]
 
     @property
     def ambient_dimension(self):
@@ -436,10 +374,10 @@ def with_quadratic_lipschitz(decomposition, hessian):
     restricted to the subspace, measured in the local matrix norm.
     """
     d = decomposition
-    lip = d.local_energies(hessian) / d.scalars
+    scal, galerkin = d.local_energies(hessian)
+    lip = scal / d.scalars
     for i, block in d.blocks.items():
-        hloc = _galerkin(hessian, *d._basis(i))
-        w = sla.eigh(hloc, block.dense(), eigvals_only=True, check_finite=False)
+        w = sla.eigh(galerkin[i], block.dense(), eigvals_only=True, check_finite=False)
         lip[i] = w[-1]
     return with_local_lipschitz(d, lip)
 
@@ -452,7 +390,6 @@ def with_local_lipschitz(decomposition, values):
         raise ValueError("local Lipschitz constant must be positive")
     out = copy.copy(decomposition)
     out.lipschitz = _frozen(values, np.float64)
-    out._subspaces = None
     return out
 
 
@@ -480,7 +417,7 @@ def stability_constant(decomposition, dense_limit=DENSE_EIG_LIMIT, tol=1e-6):
     if n <= dense_limit:
         b = np.zeros((n, n))
         for i in range(len(d)):
-            support, basis = d._basis(i)
+            support, basis = d.basis(i)
             if i in d.blocks:
                 blk = basis @ d.blocks[i].solve_columns(basis.T)
             else:
@@ -551,7 +488,7 @@ def export_decomposition(decomposition, path):
     lip, lev = d.lipschitz.tolist(), d.level.tolist()
     with open(path, "w") as fh:
         for i in range(len(d)):
-            support, basis = d._basis(i)
+            support, basis = d.basis(i)
             cols = " | ".join(
                 " ".join(f"{r}:{v!r}" for r, v in zip(support.tolist(), col.tolist()))
                 for col in basis.T

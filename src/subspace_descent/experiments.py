@@ -119,7 +119,8 @@ def build_problem(spec):
     Lipschitz constants (column norms for coordinates, per the classic
     benchmark protocol); the multilevel methods use the second-
     difference operator as metric for the built-in benchmark problem
-    and the Hessian itself for file-loaded problems.
+    and the Hessian itself for file-loaded problems, or when it is that
+    operator (L = 2, r = n), which saves a factorization and a pass.
     """
     method = spec.method.lower()
     if method not in METHODS:
@@ -155,8 +156,11 @@ def build_problem(spec):
     level = spec.level if spec.level is not None else _infer_level(n)
     if 2**level - 1 != n:
         raise ValueError(f"level {level} implies n = {2**level - 1}, got n = {n}")
-    metric = None if spec.problem == "nesterov" else objective.hessian
-    if spec.problem == "matrix" and metric is None:
+    metric = objective.hessian
+    shared = spec.lipschitz == 2.0 and spec.r in (None, n)
+    if spec.problem == "nesterov" and not shared:
+        metric = None  # the default tridiag(-1, 2, -1)
+    elif metric is None:
         raise ValueError("multilevel methods on file problems need an SPD Hessian")
     d = multilevel_nodal_decomposition(level, metric)
     return objective, with_quadratic_lipschitz(d, hess)

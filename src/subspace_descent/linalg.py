@@ -129,10 +129,6 @@ class SpdOperator:
         return cls.tridiagonal(np.ones(n), np.zeros(max(n - 1, 0)))
 
     def _cholesky_dense(self, m):
-        if m.shape == (1, 1) and m[0, 0] > 0.0:
-            # Scalar case, hit once per one-dimensional subspace view
-            # whose local matrix is used; skip the LAPACK round trip.
-            return (np.sqrt(m), True)
         try:
             c, low = sla.cho_factor(m, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:

@@ -28,7 +28,9 @@ Methods
 For quadratic objectives the gradient and objective value are carried
 incrementally (one rank-k window update through the Hessian per step),
 which makes the update O(support size) for banded Hessians; the
-gradient norm of the stopping test is still recomputed in O(n).
+gradient norm of the stopping test is still recomputed in O(n).  The
+loop and the single-step reference functions address subspace i of a
+decomposition by its index and read it from the flat arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .linalg import (
     as_vector,
     extreme_eigenvalues,
 )
-from .sampling import SAMPLER_KINDS, make_sampler
+from .sampling import make_sampler
 
 __all__ = [
     "METHODS",
@@ -151,31 +153,47 @@ class RunTrace:
 
 
 class QuadraticEnergyLocal:
-    """Canonical local objective ``w -> 1/2 (A_i w, w)`` of a subspace.
+    """Canonical local objective ``w -> 1/2 (A_i w, w)`` of subspace i.
 
-    Its stationarity equation ``A_i eta = tau`` is linear, so the
+    ``matrix`` is the (k, k) local matrix A_i of the decomposition.  Its
+    stationarity equation ``A_i eta = tau`` is linear, so the
     full-approximation solver can shortcut the Newton loop; using these
     locals makes ``rfas`` coincide with ``rfasd`` exactly.
     """
 
-    def __init__(self, subspace):
-        self.subspace = subspace
-        self.matrix = subspace.local_matrix
-
-    @property
-    def dimension(self):
-        return self.subspace.dimension
+    def __init__(self, decomposition, i):
+        self.decomposition, self.index = decomposition, i
+        if i in decomposition.blocks:
+            self.matrix = decomposition.blocks[i].dense()
+        else:
+            self.matrix = np.array([[decomposition.scalars[i]]])
 
     def value(self, w):
         w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-        return 0.5 * float(np.dot(self.matrix.matvec(w), w))
+        return 0.5 * float(np.dot(self.matrix @ w, w))
 
     def gradient(self, w):
         w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-        return self.matrix.matvec(w)
+        return self.matrix @ w
 
     def hessian(self, w):
-        return self.matrix.dense()
+        return self.matrix
+
+
+def _canonical(local, decomposition, i):
+    """Whether ``local`` is the canonical local energy of subspace i."""
+    return (
+        isinstance(local, QuadraticEnergyLocal)
+        and local.decomposition is decomposition
+        and local.index == i
+    )
+
+
+def _solve_local(decomposition, i, v):
+    """``A_i^{-1} v`` for subspace i."""
+    if i in decomposition.blocks:
+        return decomposition.blocks[i].solve(v)
+    return v / decomposition.scalars[i]
 
 
 def solve_local_stationarity(local, target, start, tol=1e-10, max_iter=100):
@@ -222,45 +240,51 @@ def solve_local_stationarity(local, target, start, tol=1e-10, max_iter=100):
 # -- single-step operations (reference implementations) -----------------
 
 
-def subspace_search_direction(gradient, subspace):
-    """Direction ``-P_i A_i^{-1} P_i^T g`` as a full-space vector."""
-    g_i = subspace.restrict(as_vector(gradient, subspace.ambient_dimension))
-    return subspace.prolong(subspace.solve_local(np.negative(g_i)))
+def subspace_search_direction(gradient, decomposition, i):
+    """Direction ``-P_i A_i^{-1} P_i^T g`` of subspace i, as a full vector."""
+    d = decomposition
+    support, basis = d.basis(i)
+    g_i = basis.T @ as_vector(gradient, d.ambient_dimension)[support]
+    out = np.zeros(d.ambient_dimension)
+    out[support] = basis @ _solve_local(d, i, np.negative(g_i))
+    return out
 
 
-def rfasd_step(x, subspace, objective, step=None):
-    """One subspace-descent update from ``x``; returns the new iterate."""
-    x = as_vector(x, subspace.ambient_dimension)
-    s = subspace_search_direction(objective.gradient(x), subspace)
-    alpha = (1.0 / subspace.local_lipschitz) if step is None else float(step)
+def rfasd_step(x, decomposition, i, objective, step=None):
+    """One update of ``x`` in subspace i; returns the new iterate."""
+    x = as_vector(x, decomposition.ambient_dimension)
+    s = subspace_search_direction(objective.gradient(x), decomposition, i)
+    alpha = (1.0 / decomposition.lipschitz[i]) if step is None else float(step)
     return x + alpha * s
 
 
-def fas_search_direction(x, subspace, local_objective, objective, projection=None):
-    """Full-approximation direction as a full-space vector.
+def fas_search_direction(x, decomposition, i, local, objective, projection=None):
+    """Full-approximation direction of subspace i, as a full vector.
 
     Builds the corrected local target
     ``tau = grad f_i(q) - P_i^T grad f(x)`` with ``q`` the local
     projection of ``x`` (zero when no projection is given), solves the
-    stationarity equation ``grad f_i(eta) = tau``, and prolongs
-    ``eta - q``.  With the canonical quadratic local energy and no
-    projection this equals :func:`subspace_search_direction` exactly.
+    stationarity equation ``grad f_i(eta) = tau`` for the local objective
+    ``local``, and prolongs ``eta - q``.  With the canonical quadratic
+    local energy and no projection this equals
+    :func:`subspace_search_direction` exactly.
     """
-    x = as_vector(x, subspace.ambient_dimension)
-    g_i = subspace.restrict(objective.gradient(x))
+    d = decomposition
+    x = as_vector(x, d.ambient_dimension)
+    support, basis = d.basis(i)
+    g_i = basis.T @ objective.gradient(x)[support]
     if projection is None:
-        q = np.zeros(subspace.dimension)
+        q = np.zeros(basis.shape[1])
     else:
         q = np.atleast_1d(np.asarray(projection(x), dtype=np.float64))
-    tau = local_objective.gradient(q) - g_i
-    if (
-        isinstance(local_objective, QuadraticEnergyLocal)
-        and local_objective.subspace is subspace
-    ):
-        eta = subspace.solve_local(tau)
+    tau = local.gradient(q) - g_i
+    if _canonical(local, d, i):
+        eta = _solve_local(d, i, tau)
     else:
-        eta = solve_local_stationarity(local_objective, tau, q)
-    return subspace.prolong(eta - q)
+        eta = solve_local_stationarity(local, tau, q)
+    out = np.zeros(d.ambient_dimension)
+    out[support] = basis @ (eta - q)
+    return out
 
 
 # -- the run loop -------------------------------------------------------
@@ -502,10 +526,6 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     if projections is not None and len(projections) != j:
         raise ValueError("need one projection per subspace")
 
-    if config.sampler not in SAMPLER_KINDS:
-        raise ValueError(
-            f"unknown sampler {config.sampler!r}; choose from {SAMPLER_KINDS}"
-        )
     sampler = make_sampler(
         config.sampler,
         size=j,
@@ -523,13 +543,12 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     if config.method.lower() == "rfas":
         if local_objectives is not None:
             canonical[:] = [
-                isinstance(loc, QuadraticEnergyLocal) and loc.subspace is s
-                for loc, s in zip(local_objectives, d.subspaces)
+                _canonical(loc, d, i) for i, loc in enumerate(local_objectives)
             ]
         if projections is not None:
             canonical &= [p is None for p in projections]
         if local_objectives is None and not canonical.all():
-            local_objectives = [QuadraticEnergyLocal(s) for s in d.subspaces]
+            local_objectives = [QuadraticEnergyLocal(d, i) for i in range(j)]
 
     quadratic = objective.is_quadratic
     b0_arr = d.rows[d.offsets[:-1]]  # support start
@@ -544,17 +563,16 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     starts, ends = d.offsets[:-1].tolist(), d.offsets[1:].tolist()
     for i in np.flatnonzero(single).tolist():
         cols[i] = d.vals[starts[i] : ends[i]]
-    subs = None if single.all() else d.subspaces
-    hloc = [None] * j
+    general = np.flatnonzero(~single).tolist()
+    parts, hloc = [None] * j, [None] * j  # the general branch's basis(i), H_i
+    for i in general:
+        parts[i] = d.basis(i)
     if quadratic:
         kind, hdata = _hessian_rep(objective)
         banded = kind == "banded"
-        hscal = d.local_energies(objective.hessian_matrix)
-        for i in np.flatnonzero(~single).tolist():
-            if i in d.blocks:
-                hloc[i] = subs[i].galerkin(objective.hessian_matrix)
-            else:
-                hloc[i] = np.array([[hscal[i]]])
+        hscal, hgal = d.local_energies(objective.hessian_matrix)
+        for i in general:
+            hloc[i] = hgal[i] if i in hgal else np.array([[hscal[i]]])
     else:
         banded = False
 
@@ -593,11 +611,10 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             dx = c * col
             df = c * gi + 0.5 * c * c * hscal[i]
         else:
-            s = subs[i]
-            at = s.support
-            gi = s.restrict(g)
+            at, basis = parts[i]
+            gi = basis.T @ g[at]
             if canonical[i]:
-                sloc = s.solve_local(np.negative(gi))
+                sloc = _solve_local(d, i, np.negative(gi))
             else:
                 loc = local_objectives[i]
                 if projections is not None and projections[i] is not None:
@@ -605,11 +622,11 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                         np.asarray(projections[i](x), dtype=np.float64)
                     )
                 else:
-                    q = np.zeros(s.dimension)
+                    q = np.zeros(basis.shape[1])
                 tau = loc.gradient(q) - gi
                 sloc = solve_local_stationarity(loc, tau, q) - q
             delta = alpha[i] * sloc
-            dx = s.basis @ delta
+            dx = basis @ delta
             if quadratic:
                 df = float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
         x[at] += dx

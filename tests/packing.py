@@ -1,4 +1,5 @@
-"""Test helpers: pack explicit subspaces into a Decomposition."""
+"""Test helpers: pack explicit subspaces into a Decomposition, and build
+dense references P_i and P_i^T M P_i from one."""
 
 import numpy as np
 
@@ -7,7 +8,7 @@ from subspace_descent.decomposition import (
     block_decomposition,
     multilevel_nodal_decomposition,
 )
-from subspace_descent.linalg import dirichlet_laplacian
+from subspace_descent.linalg import SpdOperator, dirichlet_laplacian
 
 
 def pack(metric, parts, lipschitz=None, level=None):
@@ -28,15 +29,30 @@ def pack(metric, parts, lipschitz=None, level=None):
 
 
 def parts_of(decomposition):
-    return [(s.support, s.basis) for s in decomposition]
+    """The ``(support, basis)`` pair of every subspace, in order."""
+    return [decomposition.basis(i) for i in range(len(decomposition))]
+
+
+def prolongation(decomposition, i):
+    """Dense (n, k) matrix P_i of subspace i."""
+    support, basis = decomposition.basis(i)
+    p = np.zeros((decomposition.ambient_dimension, basis.shape[1]))
+    p[support] = basis
+    return p
+
+
+def galerkin(decomposition, i, m):
+    """Dense ``P_i^T M P_i`` of an operator or array."""
+    p = prolongation(decomposition, i)
+    return p.T @ (m.dense() if isinstance(m, SpdOperator) else np.asarray(m)) @ p
 
 
 def mixed_family():
     """The level-3 hats, a k = 2 block, a non-identity 2-column basis and
     a non-contiguous k = 1 subspace, under tridiag(-1, 2, -1) on R^7."""
     a = dirichlet_laplacian(7)
-    pair = block_decomposition([[1, 2], [0], [3], [4], [5], [6]], a)[0]
+    pair = block_decomposition([[1, 2], [0], [3], [4], [5], [6]], a).basis(0)
     skew = ([1, 3, 4], [[1.0, 0.5], [0.0, 1.0], [2.0, -1.0]])
     gap = ([0, 3, 5], [1.0, -0.5, 2.0])
     hats = parts_of(multilevel_nodal_decomposition(3))
-    return pack(a, [*hats, (pair.support, pair.basis), skew, gap])
+    return pack(a, [*hats, pair, skew, gap])

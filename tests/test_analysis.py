@@ -307,7 +307,7 @@ class TestExpectedDecay:
             x = rng.standard_normal(7)
             chk = expected_decay_check(x, obj, d, probs)
             expect = sum(
-                p[i] * obj.value(rfasd_step(x, s, obj)) for i, s in enumerate(d)
+                p[i] * obj.value(rfasd_step(x, d, i, obj)) for i in range(len(d))
             )
             assert_allclose(chk.expected_value, expect, rtol=1e-12)
             assert_allclose(chk.decrease, obj.value(x) - expect, rtol=1e-10)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from packing import mixed_family, pack, parts_of
+from packing import galerkin, mixed_family, pack, parts_of, prolongation
 from subspace_descent.analysis import (
     decomposition_identity_check,
     expected_decay_check,
@@ -28,7 +28,7 @@ from subspace_descent.linalg import (
     dirichlet_laplacian,
 )
 from subspace_descent.objectives import nesterov_worst
-from subspace_descent.solvers import SolverConfig, run_solver
+from subspace_descent.solvers import QuadraticEnergyLocal, SolverConfig, run_solver
 
 
 def columns(d):
@@ -40,16 +40,15 @@ class TestCoordinate:
     def test_identity_metric(self):
         d = coordinate_decomposition(3)
         assert len(d) == 3
-        for i, s in enumerate(d):
-            assert s.dimension == 1
-            assert np.array_equal(s.support, [i])
-            assert np.array_equal(s.local_matrix.dense(), [[1.0]])
+        for i in range(3):
+            support, basis = d.basis(i)
+            assert np.array_equal(support, [i]) and np.array_equal(basis, [[1.0]])
+        assert np.array_equal(d.k, [1, 1, 1]) and np.array_equal(d.scalars, np.ones(3))
         assert d.stability_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_laplacian_metric_locals(self):
         d = coordinate_decomposition(2, dirichlet_laplacian(2))
-        for s in d:
-            assert np.array_equal(s.local_matrix.dense(), [[2.0]])
+        assert np.array_equal(d.scalars, [2.0, 2.0])
 
     def test_prolongation_columns_are_units(self):
         assert np.array_equal(columns(coordinate_decomposition(4)), np.eye(4))
@@ -59,21 +58,19 @@ class TestBlock:
     def test_two_blocks_identity(self):
         d = block_decomposition([[0, 1], [2]], SpdOperator.identity(3))
         assert len(d) == 2
-        assert np.array_equal(d[0].local_matrix.dense(), np.eye(2))
-        assert np.array_equal(d[1].local_matrix.dense(), [[1.0]])
+        assert np.array_equal(d.blocks[0].dense(), np.eye(2))
+        assert list(d.blocks) == [0] and d.scalars[1] == 1.0
 
     def test_single_block_is_full_space(self):
         a = dirichlet_laplacian(4)
         d = block_decomposition([[0, 1, 2, 3]], a)
         assert len(d) == 1
-        assert np.array_equal(d[0].local_matrix.dense(), a.dense())
+        assert np.array_equal(d.blocks[0].dense(), a.dense())
         assert d.stability_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_laplacian_submatrix(self):
         d = block_decomposition([[0, 1], [2, 3]], dirichlet_laplacian(4))
-        assert np.array_equal(
-            d[0].local_matrix.dense(), [[2.0, -1.0], [-1.0, 2.0]]
-        )
+        assert np.array_equal(d.blocks[0].dense(), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -93,14 +90,13 @@ class TestMultilevelNodal:
         d = multilevel_nodal_decomposition(3)
         assert len(d) == 11
         # eighth subspace: first hat of the middle level
-        s = d[7]
+        support, basis = d.basis(7)
         full = np.zeros(7)
-        full[s.support] = s.basis[:, 0]
+        full[support] = basis[:, 0]
         assert np.array_equal(full, [0.5, 1.0, 0.5, 0, 0, 0, 0])
         # last subspace: the single coarsest hat spanning the domain
-        s = d[10]
         assert np.array_equal(
-            s.basis[:, 0], [0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25]
+            d.basis(10)[1][:, 0], [0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25]
         )
 
     def test_level1_single_node(self):
@@ -111,10 +107,10 @@ class TestMultilevelNodal:
     def test_finest_level_comes_first(self):
         d = multilevel_nodal_decomposition(3)
         for i in range(7):
-            s = d[i]
-            assert s.dimension == 1
-            assert np.array_equal(s.support, [i])
-            assert s.basis[0, 0] == 1.0
+            support, basis = d.basis(i)
+            assert d.k[i] == 1
+            assert np.array_equal(support, [i])
+            assert np.array_equal(basis, [[1.0]])
 
     @pytest.mark.parametrize("level", range(1, 13))
     def test_count_formula(self, level):
@@ -133,7 +129,7 @@ class TestMultilevelNodal:
 
     def test_level_attribute_recorded(self):
         d = multilevel_nodal_decomposition(3)
-        assert [s.level for s in d] == [3] * 7 + [2] * 3 + [1]
+        assert d.level.tolist() == [3] * 7 + [2] * 3 + [1]
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
@@ -173,11 +169,12 @@ class TestGalerkin:
         d = multilevel_nodal_decomposition(level)
         a = d.preconditioner
         rng = np.random.default_rng(level)
-        for s in d:
+        for i in range(len(d)):
             for _ in range(5):
-                v = rng.standard_normal(s.dimension)
-                lhs = float(v @ s.local_matrix.dense() @ v)
-                rhs = a_inner_product(a, s.prolong(v), s.prolong(v))
+                v = rng.standard_normal(d.k[i])
+                lhs = float(v @ QuadraticEnergyLocal(d, i).matrix @ v)
+                pv = prolongation(d, i) @ v
+                rhs = a_inner_product(a, pv, pv)
                 assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
@@ -199,11 +196,11 @@ class TestLocalLipschitz:
         h = SpdOperator.from_dense(w @ w.T + 5 * np.eye(5))
         d = with_quadratic_lipschitz(coordinate_decomposition(5, a), h)
         hd = h.dense()
-        for i, s in enumerate(d):
+        for i in range(5):
             phi = np.zeros(5)
             phi[i] = 1.0
             expect = (phi @ hd @ phi) / a_inner_product(a, phi, phi)
-            assert s.local_lipschitz == pytest.approx(expect, rel=1e-12)
+            assert d.lipschitz[i] == pytest.approx(expect, rel=1e-12)
 
 
 class TestRcdColumn:
@@ -281,18 +278,18 @@ class TestSubspaceMechanics:
         rng = np.random.default_rng(1)
         g = rng.standard_normal(7)
         expect = columns(d).T @ g
-        for s, lo in zip(d, d.slots):
-            r = s.restrict(g)
-            assert r.shape == (s.dimension,)
-            assert_allclose(r, expect[lo : lo + s.dimension], rtol=1e-14)
+        for i, lo in enumerate(d.slots[:-1]):
+            support, basis = d.basis(i)
+            r = basis.T @ g[support]
+            assert r.shape == (d.k[i],)
+            assert_allclose(r, expect[lo : lo + d.k[i]], rtol=1e-14)
 
     def test_solve_local_inverts(self):
         d = multilevel_nodal_decomposition(4)
         rng = np.random.default_rng(3)
-        for s in d:
-            b = rng.standard_normal(s.dimension)
-            y = s.solve_local(b)
-            assert_allclose(s.local_matrix.matvec(y), b, rtol=1e-10, atol=1e-12)
+        b = rng.standard_normal(d.slots[-1])
+        y = d.solve_local(b)
+        assert_allclose(d.apply_local(y), b, rtol=1e-10, atol=1e-12)
 
 
 # One malformed input each on R^4: (offsets, rows, vals, keywords, message).
@@ -320,6 +317,12 @@ MALFORMED = {
         [0, 1, 2], [0, 1], [1.0, 1.0], {"lipschitz": [1.0, 0.0]}, "Lipschitz"
     ),
     "lipschitz-negative": ([0, 1], [3], [1.0], {"lipschitz": [-2.0]}, "Lipschitz"),
+    "vals-inf": ([0, 1, 2, 3], [0, 1, 2], [1.0, np.inf, 1.0], {}, "non-finite"),
+    "vals-nan": ([0, 1, 2, 3], [0, 1, 2], [1.0, np.nan, 1.0], {}, "non-finite"),
+    "lipschitz-inf": (
+        [0, 1, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0], {"lipschitz": [1.0, np.inf, 1.0]},
+        "non-finite",
+    ),
 }
 
 
@@ -343,7 +346,7 @@ class TestConstructor:
 
 
 class TestFlatKernel:
-    def test_matches_views(self):
+    def test_matches_dense_reference(self):
         d = mixed_family()
         m = np.random.default_rng(8).standard_normal((7, 7))
         h = SpdOperator.from_dense(m @ m.T + 7.0 * np.eye(7))
@@ -353,27 +356,37 @@ class TestFlatKernel:
         solved, applied = d.solve_local(c), d.apply_local(c)
         curved = d.apply_local(c, h)
         total = np.zeros(7)
-        for s, lo in zip(d, d.slots):
-            at = slice(lo, lo + s.dimension)
-            assert_allclose(c[at], s.restrict(v), rtol=1e-14)
-            assert_allclose(solved[at], s.solve_local(c[at]), rtol=1e-14)
-            assert_allclose(applied[at], s.local_matrix.matvec(c[at]), rtol=1e-14)
-            assert_allclose(curved[at], s.galerkin(h) @ c[at], rtol=1e-14)
-            total += s.prolong(c[at])
+        for i, lo in enumerate(d.slots[:-1]):
+            at = slice(lo, lo + d.k[i])
+            p, a_i = prolongation(d, i), galerkin(d, i, d.preconditioner)
+            assert_allclose(c[at], p.T @ v, rtol=1e-14)
+            assert_allclose(a_i @ solved[at], c[at], rtol=1e-12)
+            assert_allclose(applied[at], a_i @ c[at], rtol=1e-14)
+            assert_allclose(curved[at], galerkin(d, i, h) @ c[at], rtol=1e-14)
+            total += p @ c[at]
         assert_allclose(d.prolong(c), total, rtol=1e-14)
 
-    def test_theory_tools_leave_views_unbuilt(self):
+    def test_local_energies_cached_per_operator(self):
+        d = mixed_family()
+        h = dirichlet_laplacian(7, scale=1.5)
+        scal, local = d.local_energies(h)
+        assert d.local_energies(h)[1] is local and sorted(local) == sorted(d.blocks)
+        for i in range(len(d)):
+            expect = galerkin(d, i, h)
+            got = local[i] if i in d.blocks else [[scal[i]]]
+            assert_allclose(got, expect, rtol=1e-14)
+        assert with_quadratic_lipschitz(d, h).local_energies(h)[1] is local
+
+    def test_theory_tools_run_on_the_kernel(self):
         obj = nesterov_worst(63)
         d = with_quadratic_lipschitz(multilevel_nodal_decomposition(6), obj.hessian)
         rng = np.random.default_rng(0)
         assert decomposition_identity_check(rng.standard_normal(63), d).passed
         assert expected_decay_check(rng.standard_normal(63), obj, d).passed
         assert stability_constant(d) == pytest.approx(1.0, abs=1e-9)
-        assert d._subspaces is None
         # the matrix-free path applies B through the kernel too
         small = multilevel_nodal_decomposition(4)
         assert stability_constant(small, dense_limit=4) == pytest.approx(1.0, rel=1e-6)
-        assert small._subspaces is None
 
 
 def test_export_format(tmp_path):
@@ -472,16 +485,18 @@ class TestFlatLayout:
             assert np.array_equal(d.rows[lo:hi], np.repeat(sup, np.shape(basis)[1]))
             assert np.array_equal(d.vals[lo:hi], np.ravel(basis))
         assert sorted(d.blocks) == [i for i, c in enumerate(k) if c > 1]
-        # views read the arrays back; a copy rebuilds them
+        # basis(i) reads the arrays back, and a copy shares them
         copy = with_local_lipschitz(d, d.lipschitz)
+        assert copy.rows is d.rows and copy.vals is d.vals and copy.blocks is d.blocks
         dense = a.dense()
-        for i, ((sup, basis), s, v) in enumerate(zip(parts, d, copy)):
-            assert v is not s
-            assert np.array_equal(v.support, sup)
-            assert np.array_equal(v.basis, basis)
+        for i, (sup, basis) in enumerate(parts):
+            got_support, got_basis = copy.basis(i)
+            assert np.array_equal(got_support, sup)
+            assert np.array_equal(got_basis, basis)
             local = basis.T @ dense[np.ix_(sup, sup)] @ basis
-            assert_allclose(v.local_matrix.dense(), local, rtol=1e-14)
-            assert (v.local_lipschitz, v.level) == (1.0 + order[i], levels[order[i]])
+            assert_allclose(QuadraticEnergyLocal(copy, i).matrix, local, rtol=1e-14)
+            lip, lev = copy.lipschitz[i], copy.level[i]
+            assert (lip, lev) == (1.0 + order[i], levels[order[i]])
         h = dirichlet_laplacian(7, scale=1.5)
         expect = []
         for sup, basis in parts:

@@ -1,9 +1,12 @@
+import importlib
 import json
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import subspace_descent
 from subspace_descent.cli import build_parser, main
 from subspace_descent.experiments import (
     ExperimentSpec,
@@ -97,6 +100,28 @@ class TestRunExperiment:
             build_problem(tiny_spec(n=10))
         with pytest.raises(ValueError):
             build_problem(tiny_spec(n=15, level=3))
+
+    def test_builtin_hessian_shared_as_metric(self):
+        # at L = 2 and r = n the Hessian is tridiag(-1, 2, -1) itself
+        obj, d = build_problem(tiny_spec())
+        assert d.preconditioner is obj.hessian
+        obj, d = build_problem(tiny_spec(lipschitz=3.0))
+        assert d.preconditioner is not obj.hessian
+        diag, off = d.preconditioner.bands
+        assert np.array_equal(diag, np.full(7, 2.0))
+        assert np.array_equal(off, np.full(6, -1.0))
+
+
+def test_package_exports_every_public_name():
+    missing = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(subspace_descent.__path__)
+        for name in getattr(
+            importlib.import_module(f"subspace_descent.{info.name}"), "__all__", ()
+        )
+        if not hasattr(subspace_descent, name)
+    ]
+    assert missing == []
 
 
 class TestSummaryFormats:

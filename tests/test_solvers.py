@@ -73,25 +73,24 @@ class StubbornLocal:
 class TestSearchDirection:
     def test_orthogonal_gradient_gives_zero(self):
         d = multilevel_nodal_decomposition(3)
-        s = d[0]  # supported on index 0 only
-        g = np.zeros(7)
+        g = np.zeros(7)  # subspace 0 is supported on index 0 only
         g[3] = 2.5
-        assert np.array_equal(subspace_search_direction(g, s), np.zeros(7))
+        assert np.array_equal(subspace_search_direction(g, d, 0), np.zeros(7))
 
     def test_coordinate_reduction(self):
         d = coordinate_decomposition(4)
         rng = np.random.default_rng(0)
         g = rng.standard_normal(4)
-        for j, s in enumerate(d):
+        for j in range(4):
             expect = np.zeros(4)
             expect[j] = -g[j]
-            assert_allclose(subspace_search_direction(g, s), expect, rtol=0)
+            assert_allclose(subspace_search_direction(g, d, j), expect, rtol=0)
 
     def test_full_space_newton(self):
         obj = nesterov_worst(5)
         d = block_decomposition([list(range(5))], obj.hessian)
         x = np.ones(5)
-        s = subspace_search_direction(obj.gradient(x), d[0])
+        s = subspace_search_direction(obj.gradient(x), d, 0)
         assert_allclose(
             x + s,
             quadratic_minimizer(QuadraticObjective(obj.hessian, obj.rhs)),
@@ -104,8 +103,8 @@ class TestRfasdStep:
         obj = nesterov_worst(7)
         d = multilevel_nodal_decomposition(3)
         xstar = obj.minimizer()
-        for s in d:
-            assert_allclose(rfasd_step(xstar, s, obj), xstar, atol=1e-14)
+        for i in range(len(d)):
+            assert_allclose(rfasd_step(xstar, d, i, obj), xstar, atol=1e-14)
 
     def test_strict_decrease_when_active(self):
         obj = nesterov_worst(7)
@@ -113,15 +112,16 @@ class TestRfasdStep:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.standard_normal(7)
-            for s in d:
-                if np.linalg.norm(s.restrict(obj.gradient(x))) < 1e-12:
+            g_loc = d.restrict(obj.gradient(x))
+            for i in range(len(d)):
+                if np.linalg.norm(g_loc[d.slots[i] : d.slots[i + 1]]) < 1e-12:
                     continue
-                assert obj.value(rfasd_step(x, s, obj)) < obj.value(x)
+                assert obj.value(rfasd_step(x, d, i, obj)) < obj.value(x)
 
     def test_full_space_single_step(self):
         obj = nesterov_worst(7)
         d = block_decomposition([list(range(7))], obj.hessian)
-        x1 = rfasd_step(np.ones(7), d[0], obj)
+        x1 = rfasd_step(np.ones(7), d, 0, obj)
         assert np.linalg.norm(obj.gradient(x1)) <= 1e-10
 
 
@@ -131,10 +131,10 @@ class TestFasDirection:
         obj = nesterov_worst(7)
         rng = np.random.default_rng(2)
         x = rng.standard_normal(7)
-        for s in d:
-            loc = QuadraticEnergyLocal(s)
-            fas = fas_search_direction(x, s, loc, obj)
-            plain = subspace_search_direction(obj.gradient(x), s)
+        for i in range(len(d)):
+            loc = QuadraticEnergyLocal(d, i)
+            fas = fas_search_direction(x, d, i, loc, obj)
+            plain = subspace_search_direction(obj.gradient(x), d, i)
             assert np.array_equal(fas, plain)
 
     def test_quadratic_local_with_projection_cancels(self):
@@ -143,11 +143,11 @@ class TestFasDirection:
         d = multilevel_nodal_decomposition(3)
         obj = nesterov_worst(7)
         x = np.linspace(-1, 1, 7)
-        s = d[8]
-        loc = QuadraticEnergyLocal(s)
-        base = subspace_search_direction(obj.gradient(x), s)
+        support, basis = d.basis(8)
+        loc = QuadraticEnergyLocal(d, 8)
+        base = subspace_search_direction(obj.gradient(x), d, 8)
         got = fas_search_direction(
-            x, s, loc, obj, projection=lambda v: s.restrict(v)
+            x, d, 8, loc, obj, projection=lambda v: basis.T @ v[support]
         )
         assert_allclose(got, base, rtol=1e-12, atol=1e-14)
 
@@ -155,9 +155,9 @@ class TestFasDirection:
         obj = nesterov_worst(7)
         d = multilevel_nodal_decomposition(3)
         xstar = obj.minimizer()
-        for s in d:
+        for i in range(len(d)):
             loc = QuarticLocal()  # q = 0 is its unique critical point
-            got = fas_search_direction(xstar, s, loc, obj)
+            got = fas_search_direction(xstar, d, i, loc, obj)
             assert np.linalg.norm(got) <= 1e-10
 
     def test_quartic_newton_vs_bisection(self):
@@ -228,9 +228,8 @@ class TestRunSolver:
         # replay: every update only moves coordinates of the chosen block
         x = np.ones(6)
         for k, i in enumerate(tr.chosen):
-            s = d[int(i)]
-            x_next = rfasd_step(x, s, obj)
-            off = np.setdiff1d(np.arange(6), s.support)
+            x_next = rfasd_step(x, d, int(i), obj)
+            off = np.setdiff1d(np.arange(6), d.basis(int(i))[0])
             assert np.array_equal(x_next[off], x[off])
             x = x_next
 
@@ -250,7 +249,7 @@ class TestRunSolver:
         assert set(tr.chosen.tolist()) == set(range(len(d)))
         x, f = np.ones(7), [obj.value(np.ones(7))]
         for i in tr.chosen:
-            x = rfasd_step(x, d[int(i)], obj)
+            x = rfasd_step(x, d, int(i), obj)
             f.append(obj.value(x))
         assert_allclose(tr.final_x, x, rtol=1e-12)
         assert_allclose(tr.objective_values, f, rtol=1e-12)
@@ -339,9 +338,7 @@ class TestFasEquivalence:
         # local solves, farther out the cubic term damps the step
         obj = nesterov_worst(7)
         d = multilevel_nodal_decomposition(3)
-        locals_ = [
-            QuarticLocal(curvature=s.local_matrix.dense()[0, 0]) for s in d
-        ]
+        locals_ = [QuarticLocal(curvature=a_i) for a_i in d.scalars]
         tr = run_solver(
             SolverConfig(method="rfas", sampler="cyclic", max_iterations=20000),
             obj,
