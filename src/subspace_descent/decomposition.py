@@ -135,8 +135,7 @@ class Decomposition:
         step[ends] = 1  # supports of consecutive runs may restart
         if (step <= 0).any():
             raise ValueError("support indices must be strictly increasing")
-        if not (lipschitz > 0).all():
-            raise ValueError("local Lipschitz constant must be positive")
+        _check_lipschitz(lipschitz)
         self.preconditioner = metric
         self.offsets, self.rows, self.vals = offsets, rows, vals
         self.k, self.lipschitz, self.level = k, lipschitz, level
@@ -382,12 +381,19 @@ def with_quadratic_lipschitz(decomposition, hessian):
     return with_local_lipschitz(d, lip)
 
 
+def _check_lipschitz(values):
+    if not (values > 0).all():
+        i = int(np.flatnonzero(~(values > 0))[0])
+        raise ValueError(
+            f"local Lipschitz constant must be positive; subspace {i} has {values[i]}"
+        )
+
+
 def with_local_lipschitz(decomposition, values):
     """Copy of a decomposition with explicitly given Lipschitz constants,
     sharing every other array."""
     values = as_vector(values, len(decomposition)).copy()
-    if not np.all(values > 0):
-        raise ValueError("local Lipschitz constant must be positive")
+    _check_lipschitz(values)
     out = copy.copy(decomposition)
     out.lipschitz = _frozen(values, np.float64)
     return out

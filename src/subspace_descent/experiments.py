@@ -131,6 +131,11 @@ def build_problem(spec):
             raise ValueError("give n or level for the built-in benchmark problem")
         n = spec.n if spec.n is not None else 2**spec.level - 1
         objective = nesterov_worst(n, r=spec.r, lipschitz=spec.lipschitz)
+        if spec.r not in (None, n) and method not in ("gd", "pgd"):
+            raise ValueError(
+                f"r={spec.r} < n={n}: the built-in problem is flat in its last "
+                f"n - r coordinates, where {method} has zero local curvature; use r = n"
+            )
     elif spec.problem == "matrix":
         if not spec.matrix_path or not spec.rhs_path:
             raise ValueError("matrix problems need matrix_path and rhs_path")

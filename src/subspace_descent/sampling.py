@@ -46,11 +46,8 @@ class Sampler:
         self.kind = kind
         self.size = int(size)
         self.seed = seed
-        self.draw_count = 0
-        self.probabilities = None
+        self.probabilities = cumulative = None
         self._rng = None if kind == "cyclic" else np.random.default_rng(seed)
-        self._buffer = np.empty(0, dtype=np.intp)
-        self._pos = 0
         if kind == "proportional":
             p = np.asarray(probabilities, dtype=np.float64)
             if p.ndim != 1 or p.size != size:
@@ -59,38 +56,31 @@ class Sampler:
                 raise ValueError("probabilities must be positive and finite")
             p = p / p.sum()
             self.probabilities = p
-            self._cumulative = np.cumsum(p)
-            self._cumulative[-1] = 1.0
+            cumulative = np.cumsum(p)
+            cumulative[-1] = 1.0
         elif kind == "uniform":
             self.probabilities = np.full(size, 1.0 / size)
+        # The stream holds no reference to the sampler, so that a finished
+        # run frees both at once instead of leaving a cycle to the collector.
+        self._drawn = [0]
+        self._stream = _index_stream(kind, self.size, self._rng, cumulative, self._drawn)
 
-    def _refill(self):
-        if self.kind == "uniform":
-            self._buffer = self._rng.integers(0, self.size, size=_BATCH, dtype=np.intp)
-        else:  # proportional
-            u = self._rng.random(_BATCH)
-            # Inverse-CDF with ties resolved to the lower index.
-            self._buffer = np.minimum(
-                np.searchsorted(self._cumulative, u, side="left"), self.size - 1
-            ).astype(np.intp)
-        self._pos = 0
+    @property
+    def draw_count(self):
+        """How many indices have been drawn."""
+        return self._drawn[0]
 
     def next_index(self):
         """Next subspace index in ``{0, ..., J-1}``."""
-        k = self.kind
-        if k == "cyclic":
-            i = self.draw_count % self.size
-        elif k == "permutation":
-            if self.draw_count % self.size == 0:
-                self._buffer = self._rng.permutation(self.size)
-            i = int(self._buffer[self.draw_count % self.size])
-        else:
-            if self._pos >= self._buffer.size:
-                self._refill()
-            i = int(self._buffer[self._pos])
-            self._pos += 1
-        self.draw_count += 1
-        return i
+        return next(self._stream)
+
+    def draws(self):
+        """The stream as a generator, for loops that draw many indices.
+
+        It shares its position and ``draw_count`` with :meth:`next_index`
+        and skips the per-draw method call.
+        """
+        return self._stream
 
     def __iter__(self):
         return self
@@ -100,6 +90,24 @@ class Sampler:
 
     def __repr__(self):
         return f"Sampler({self.kind!r}, J={self.size}, seed={self.seed})"
+
+
+def _index_stream(kind, size, rng, cumulative, drawn):
+    """The index stream, a batch at a time; counts in ``drawn[0]`` each
+    index it yields."""
+    while True:
+        if kind == "cyclic":
+            batch = range(size)
+        elif kind == "permutation":
+            batch = rng.permutation(size).tolist()
+        elif kind == "uniform":
+            batch = rng.integers(0, size, size=_BATCH, dtype=np.intp).tolist()
+        else:  # proportional: inverse CDF with ties resolved to the lower index
+            batch = np.searchsorted(cumulative, rng.random(_BATCH), side="left")
+            batch = np.minimum(batch, size - 1).tolist()
+        for i in batch:
+            drawn[0] += 1
+            yield i
 
 
 def make_sampler(kind, size=None, lipschitz=None, seed=0):

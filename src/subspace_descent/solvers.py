@@ -26,16 +26,24 @@ Methods
     the other subspaces solve the stationarity equation.
 
 For quadratic objectives the gradient and objective value are carried
-incrementally (one rank-k window update through the Hessian per step),
-which makes the update O(support size) for banded Hessians; the
-gradient norm of the stopping test is still recomputed in O(n).  The
-loop and the single-step reference functions address subspace i of a
+incrementally (one rank-k window update through the Hessian per step).
+Under a banded Hessian so is ``||g||^2``, which makes a step O(support
+size); k = 1 supports at most ``_SCALAR_WIDTH`` wide take the step on
+Python floats, with the same arithmetic as the array path.  The carried
+norm is set exactly from g at every epoch boundary, and the stopping
+test uses the exact norm whenever the carried one is within its
+rounding bound of the threshold.  A run stops as converged only if the
+true gradient at the final iterate meets the tolerance; if it does not,
+g, f and the norm are resynced from it and the run goes on.  The loop
+and the single-step reference functions address subspace i of a
 decomposition by its index and read it from the flat arrays.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,6 +78,9 @@ METHODS = ("gd", "pgd", "rcd", "rbcd", "rfasd", "rfas")
 _GUARD_EPOCHS = 10
 _GUARD_GROWTH = 1e3
 
+# Widest k = 1 support that takes the scalar step under a banded Hessian.
+_SCALAR_WIDTH = 3
+
 
 class DivergenceError(RuntimeError):
     """The iteration is growing the objective instead of shrinking it."""
@@ -101,9 +112,11 @@ class RunTrace:
     """Complete record of one solver run.
 
     ``objective_values`` and ``gradient_norms`` have one entry per
-    visited state (iteration count + 1); ``chosen`` lists the subspace
-    index used at each update.  ``gaps`` is ``f - f_star`` when the
-    objective knows its minimum, else None.
+    visited state (iteration count + 1); under a banded Hessian the
+    norms are the carried ones (see the module docstring), exact at
+    epoch boundaries and at a converged stop.  ``chosen`` lists the
+    subspace index used at each update.  ``gaps`` is ``f - f_star``
+    when the objective knows its minimum, else None.
     """
 
     method: str
@@ -290,31 +303,6 @@ def fas_search_direction(x, decomposition, i, local, objective, projection=None)
 # -- the run loop -------------------------------------------------------
 
 
-class _Recorder:
-    """Growable per-iteration storage (amortized numpy buffers)."""
-
-    def __init__(self, capacity=4096):
-        self.f = np.empty(capacity)
-        self.gn = np.empty(capacity)
-        self.idx = np.empty(capacity, dtype=np.int64)
-        self.count = 0
-
-    def _grow(self):
-        cap = 2 * self.f.size
-        self.f = np.resize(self.f, cap)
-        self.gn = np.resize(self.gn, cap)
-        self.idx = np.resize(self.idx, cap)
-
-    def state(self, k, f, gn):
-        if k >= self.f.size:
-            self._grow()
-        self.f[k] = f
-        self.gn[k] = gn
-
-    def choice(self, k, i):
-        self.idx[k] = i
-
-
 def _full_space_setup(config, objective, decomposition):
     """Metric operator (pgd only) and step size for the full-space methods."""
     method = config.method.lower()
@@ -420,10 +408,8 @@ def run_solver(
     )
 
 
-def _finish(rec, k, config, j, converged, x, objective):
-    f = rec.f[: k + 1].copy()
-    gn = rec.gn[: k + 1].copy()
-    chosen = rec.idx[:k].copy()
+def _finish(record, config, j, converged, x, objective):
+    f, gn, chosen = (np.array(a) for a in record)
     gaps = None
     if objective.known_minimum is not None:
         gaps = f - objective.known_minimum
@@ -480,18 +466,19 @@ def _run_full_space(config, objective, decomposition, x):
     f = objective.value(x)
     gn = float(np.linalg.norm(g))
     threshold = config.tolerance * gn
-    rec = _Recorder()
+    fs, gns, chosen = record = array("d"), array("d"), array("q")
     guard = _Guard(f)
     k = 0
     converged = False
     while True:
-        rec.state(k, f, gn)
+        fs.append(f)
+        gns.append(gn)
         if gn <= threshold:
             converged = True
             break
         if k >= config.max_iterations:
             break
-        rec.choice(k, 0)
+        chosen.append(0)
         if pgd:
             x -= alpha * precond.solve(g)
         else:
@@ -501,18 +488,7 @@ def _run_full_space(config, objective, decomposition, x):
         gn = float(np.linalg.norm(g))
         k += 1
         guard.check(f, k)
-    return _finish(rec, k, config, 1, converged, x, objective)
-
-
-def _hessian_rep(objective):
-    """(kind, data) for fast incremental updates of a quadratic gradient."""
-    h = objective.hessian if objective.hessian is not None else objective.hessian_matrix
-    if isinstance(h, SpdOperator):
-        if h.is_banded:
-            d, e = h.bands
-            return "banded", (d, e)
-        return "dense", h.dense()
-    return "dense", np.asarray(h, dtype=np.float64)
+    return _finish(record, config, 1, converged, x, objective)
 
 
 def _run_subspace(config, objective, decomposition, x, local_objectives, projections):
@@ -551,105 +527,144 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             local_objectives = [QuadraticEnergyLocal(d, i) for i in range(j)]
 
     quadratic = objective.is_quadratic
-    b0_arr = d.rows[d.offsets[:-1]]  # support start
-    b1_arr = d.rows[d.offsets[1:] - 1] + 1  # support end + 1
-    lo_arr = np.maximum(b0_arr - 1, 0)
-    hi_arr = np.minimum(b1_arr, n - 1) + 1
-    contiguous = b1_arr - b0_arr == np.diff(d.offsets)
+    offsets, vals = d.offsets, d.vals
+    b0_arr = d.rows[offsets[:-1]]  # support start
+    b1_arr = d.rows[offsets[1:] - 1] + 1  # support end + 1
+    contiguous = b1_arr - b0_arr == np.diff(offsets)
     # k = 1 and quadratic fast path
     single = quadratic & (d.k == 1) & contiguous & canonical
     scal = d.scalars
-    cols = [None] * j
-    starts, ends = d.offsets[:-1].tolist(), d.offsets[1:].tolist()
-    for i in np.flatnonzero(single).tolist():
-        cols[i] = d.vals[starts[i] : ends[i]]
     general = np.flatnonzero(~single).tolist()
     parts, hloc = [None] * j, [None] * j  # the general branch's basis(i), H_i
     for i in general:
         parts[i] = d.basis(i)
+    banded = False
     if quadratic:
-        kind, hdata = _hessian_rep(objective)
-        banded = kind == "banded"
-        hscal, hgal = d.local_energies(objective.hessian_matrix)
+        h = objective.hessian_matrix
+        banded = isinstance(h, SpdOperator) and h.is_banded
+        if banded:
+            dband, eband = h.bands
+        else:
+            hdense = h.dense() if isinstance(h, SpdOperator) else np.asarray(h, float)
+        hscal, hgal = d.local_energies(h)
         for i in general:
             hloc[i] = hgal[i] if i in hgal else np.array([[hscal[i]]])
-    else:
-        banded = False
+    # Narrow k = 1 supports under a banded Hessian take the scalar step.
+    narrow = single & (b1_arr - b0_arr <= _SCALAR_WIDTH) & banded
 
     g = objective.gradient(x)
     f = objective.value(x)
-    gn = float(np.linalg.norm(g))
-    threshold = config.tolerance * gn
-    rec = _Recorder()
+    # gn2 = ||g||^2 is carried through banded updates and set from g @ g
+    # at each epoch boundary.  Its rounding error stays below tau * slack
+    # (slack: gn2 when last exact plus every square added or removed
+    # since), so within that band of the threshold the test uses g @ g.
+    gn2 = slack = float(g @ g)
+    threshold = config.tolerance * sqrt(gn2)
+    thr2 = threshold * threshold
+    tau = 4.0 * (n + j) * np.finfo(float).eps
+    fs, gns, chosen = record = array("d"), array("d"), array("q")
     guard = _Guard(f)
-    if banded:
-        dband, eband = hdata
-        # Zero scratch vector: the update is scattered into it on the
-        # support and cleared again after the window product.
-        w = np.zeros(n)
+    # Zero scratch vector: the update is scattered into it on the
+    # support and cleared again after the window product.
+    w = np.zeros(n)
 
     k = 0
     converged = False
-    next_index = sampler.next_index
-    norm = np.linalg.norm
+    next_index = sampler.draws().__next__
     while True:
-        rec.state(k, f, gn)
-        if gn <= threshold:
-            converged = True
-            break
-        if k >= config.max_iterations:
+        if gn2 <= thr2 + tau * (slack + thr2):
+            gn2 = slack = float(g @ g)
+            if sqrt(gn2) <= threshold:
+                # Converged only if the true gradient meets the tolerance;
+                # otherwise resync from it and go on.
+                g[:] = objective.gradient(x)
+                gn2 = slack = float(g @ g)
+                converged = sqrt(gn2) <= threshold
+                if not converged:
+                    f = objective.value(x)
+        fs.append(f)
+        gns.append(sqrt(gn2))
+        if converged or k >= config.max_iterations:
             break
         i = next_index()
-        rec.choice(k, i)
-        # Each branch yields the support selector ``at``, the update
-        # ``dx`` on it and (for quadratics) the change ``df`` in f.
-        if single[i]:
-            at = slice(b0_arr[i], b1_arr[i])
-            col = cols[i]
-            gi = float(col @ g[at])
-            c = alpha[i] * (-gi / scal[i])
-            dx = c * col
-            df = c * gi + 0.5 * c * c * hscal[i]
+        chosen.append(i)
+        if narrow.item(i):
+            # The slice path's arithmetic on Python floats: g_i summed left
+            # to right, then g_r += (d_r w_r + e_r w_{r+1}) + e_{r-1} w_{r-1}
+            # for r = b-1..b1, with w = c * col on the support, 0 off it.
+            b, b1 = b0_arr.item(i), b1_arr.item(i)
+            o = offsets.item(i) - b  # the column at r is vals[o + r]
+            gi = vals.item(o + b) * g.item(b)
+            for r in range(b + 1, b1):
+                gi += vals.item(o + r) * g.item(r)
+            c = alpha.item(i) * (-gi / scal.item(i))
+            f += c * gi + 0.5 * c * c * hscal.item(i)
+            el = wl = wc = s_old = s_new = 0.0
+            wr = c * vals.item(o + b)
+            for r in range(b - 1, b1 + 1):
+                er = eband.item(r) if 0 <= r < n - 1 else 0.0
+                if 0 <= r < n:
+                    old = g.item(r)
+                    g[r] = new = old + ((dband.item(r) * wc + er * wr) + el * wl)
+                    s_old += old * old
+                    s_new += new * new
+                    if b <= r < b1:
+                        x[r] = x.item(r) + wc
+                el, wl, wc = er, wc, wr
+                wr = c * vals.item(o + r + 2) if r + 2 < b1 else 0.0
+            gn2 += s_new - s_old
+            slack += s_new + s_old
         else:
-            at, basis = parts[i]
-            gi = basis.T @ g[at]
-            if canonical[i]:
-                sloc = _solve_local(d, i, np.negative(gi))
+            # Each branch yields the support selector ``at``, the update
+            # ``dx`` on it and (for quadratics) the change ``df`` in f.
+            if single[i]:
+                at = slice(b0_arr[i], b1_arr[i])
+                col = vals[offsets[i] : offsets[i + 1]]
+                gi = float(col @ g[at])
+                c = alpha[i] * (-gi / scal[i])
+                dx = c * col
+                df = c * gi + 0.5 * c * c * hscal[i]
             else:
-                loc = local_objectives[i]
-                if projections is not None and projections[i] is not None:
-                    q = np.atleast_1d(
-                        np.asarray(projections[i](x), dtype=np.float64)
-                    )
+                at, basis = parts[i]
+                gi = basis.T @ g[at]
+                if canonical[i]:
+                    sloc = _solve_local(d, i, np.negative(gi))
                 else:
+                    loc = local_objectives[i]
                     q = np.zeros(basis.shape[1])
-                tau = loc.gradient(q) - gi
-                sloc = solve_local_stationarity(loc, tau, q) - q
-            delta = alpha[i] * sloc
-            dx = basis @ delta
-            if quadratic:
-                df = float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
-        x[at] += dx
-        if quadratic:
-            # g += H P_i delta: a window product for banded H, the support
-            # columns for dense H.
-            f += df
-            if banded:
-                lo, hi1 = lo_arr[i], hi_arr[i]
+                    if projections is not None and projections[i] is not None:
+                        q = np.atleast_1d(np.asarray(projections[i](x), dtype=float))
+                    sloc = solve_local_stationarity(loc, loc.gradient(q) - gi, q) - q
+                delta = alpha[i] * sloc
+                dx = basis @ delta
+                if quadratic:
+                    df = float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
+            x[at] += dx
+            if not quadratic:
+                g, f = objective.gradient(x), objective.value(x)
+                gn2 = float(g @ g)
+            elif banded:
+                # g += H P_i delta as a window product
+                f += df
+                lo, hi1 = max(b0_arr[i] - 1, 0), min(b1_arr[i], n - 1) + 1
                 w[at] = dx
                 win = w[lo:hi1]
                 prod = dband[lo:hi1] * win
                 prod[:-1] += eband[lo : hi1 - 1] * win[1:]
                 prod[1:] += eband[lo : hi1 - 1] * win[:-1]
-                g[lo:hi1] += prod
+                gw = g[lo:hi1]
+                s_old = float(gw @ gw)
+                gw += prod
+                s_new = float(gw @ gw)
+                gn2 += s_new - s_old
+                slack += s_new + s_old
                 w[at] = 0.0
             else:
-                g += hdata[:, at] @ dx
-        else:
-            g = objective.gradient(x)
-            f = objective.value(x)
-        gn = float(norm(g))
+                f += df
+                g += hdense[:, at] @ dx  # g += H P_i delta, dense H
+                gn2 = float(g @ g)
         k += 1
         if k % j == 0:
             guard.check(f, k)
-    return _finish(rec, k, config, j, converged, x, objective)
+            gn2 = slack = float(g @ g)
+    return _finish(record, config, j, converged, x, objective)

@@ -203,6 +203,14 @@ class TestLocalLipschitz:
             assert d.lipschitz[i] == pytest.approx(expect, rel=1e-12)
 
 
+    def test_nonpositive_constant_named(self):
+        d = multilevel_nodal_decomposition(3)
+        with pytest.raises(ValueError, match="subspace 3 has 0.0"):
+            with_quadratic_lipschitz(d, nesterov_worst(7, 3).hessian_matrix)
+        with pytest.raises(ValueError, match="subspace 1 has -2.0"):
+            with_local_lipschitz(d, [1.0, -2.0] + [1.0] * (len(d) - 2))
+
+
 class TestRcdColumn:
     def test_laplacian_columns(self):
         h = dirichlet_laplacian(5)

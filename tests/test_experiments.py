@@ -259,6 +259,13 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "error: trials must be at least 1\n"
 
+    def test_flat_tail_exit_two(self, capsys):
+        # r < n leaves the last n - r coordinates without curvature
+        code = main(["run", "--n", "7", "--r", "3", "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: r=3 < n=7: the built-in problem is flat")
+
     def test_divergence_exit_two(self, tmp_path, capsys):
         # Indefinite Hessian [[1, 2], [2, 1]]: gradient descent diverges.
         mp, rp = tmp_path / "m.txt", tmp_path / "r.txt"

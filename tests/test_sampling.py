@@ -115,6 +115,18 @@ class TestBookkeeping:
         draws(s, 10)
         assert s.draw_count == 10
 
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_generator_shares_the_stream(self, kind):
+        lip = np.arange(1.0, 8.0)
+        a = make_sampler(kind, size=7, lipschitz=lip, seed=4)
+        b = make_sampler(kind, size=7, lipschitz=lip, seed=4)
+        gen = b.draws()
+        # interleaved with next_index, across several batch boundaries
+        got = [b.next_index() if t % 5 == 0 else next(gen) for t in range(2500)]
+        assert got == draws(a, 2500)
+        assert b.draw_count == 2500
+        assert all(type(i) is int for i in got)
+
     def test_iterator_protocol(self):
         s = make_sampler("cyclic", size=2)
         it = iter(s)

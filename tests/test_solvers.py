@@ -11,8 +11,10 @@ from subspace_descent.decomposition import (
     with_quadratic_lipschitz,
 )
 from subspace_descent.linalg import NotSpdError, SpdOperator
+from subspace_descent import sampling, solvers
 from subspace_descent.objectives import (
     QuadraticObjective,
+    nesterov_matrix_form,
     nesterov_worst,
     quadratic_minimizer,
 )
@@ -404,3 +406,103 @@ class TestRunTrace:
         p = tmp_path / "t.csv"
         tr.write_csv(str(p))
         assert p.read_text().splitlines()[1].endswith(",")
+
+
+def replay_states(obj, d, chosen):
+    """Iterates x_0 .. x_K of the reference single-step path from ones."""
+    xs = [np.ones(obj.dimension)]
+    for i in chosen:
+        xs.append(rfasd_step(xs[-1], d, int(i), obj))
+    return xs
+
+
+def true_norms(obj, xs):
+    return np.array([np.linalg.norm(obj.gradient(x)) for x in xs])
+
+
+class TestScalarStepAndStop:
+    def test_replay_across_the_width_switch(self):
+        # level 6: k = 1 hats 1, 3, 7, 15, 31 and 63 wide, on both sides
+        # of the scalar-step switch, including both boundary hats
+        obj = nesterov_worst(63)
+        d = multilevel_nodal_decomposition(6)
+        cfg = SolverConfig(method="rfasd", seed=3, max_iterations=1500)
+        tr = run_solver(cfg, obj, d)
+        widths = np.diff(d.offsets)[tr.chosen]
+        assert set(widths.tolist()) == {1, 3, 7, 15, 31, 63}
+        xs = replay_states(obj, d, tr.chosen)
+        assert_allclose(tr.final_x, xs[-1], rtol=1e-12)
+        assert_allclose(tr.objective_values, [obj.value(x) for x in xs], rtol=1e-12)
+        assert_allclose(tr.gradient_norms, true_norms(obj, xs), rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, level, seed, kw",
+        [(7, 3, s, {}) for s in range(10)]
+        + [(15, 4, 42, dict(max_iterations=1000, tolerance=1e-300))],
+    )
+    def test_stop_index_is_first_exact_crossing(self, n, level, seed, kw):
+        # the n = 7 runs end at g = 0 exactly; at tolerance 1e-300 the
+        # squared threshold underflows to 0
+        obj, d = nesterov_worst(n), multilevel_nodal_decomposition(level)
+        cfg = SolverConfig(method="rfasd", sampler="uniform", seed=seed, **kw)
+        tr = run_solver(cfg, obj, d)
+        norms = true_norms(obj, replay_states(obj, d, tr.chosen))
+        hits = np.flatnonzero(norms <= cfg.tolerance * norms[0])
+        assert tr.iteration_count == (hits[0] if hits.size else norms.size - 1)
+        assert tr.converged == bool(hits.size)
+
+    def test_exact_zero_gradient_stops_at_tiny_tolerance(self):
+        # Only g = 0 meets tolerance 1e-300 (its square underflows), so the
+        # carried norm's drift must not hide it.  The counts are those of
+        # a loop that recomputes ||g|| every step, except seed 8: its
+        # carried g is 0 at step 224 where grad f(x) is 1.5e-16, so the
+        # run resyncs and goes on.  Seed 4 never reaches g = 0.
+        obj, d = nesterov_worst(7), multilevel_nodal_decomposition(3)
+        counts = []
+        for seed in range(10):
+            cfg = SolverConfig("rfasd", seed=seed, max_iterations=500, tolerance=1e-300)
+            tr = run_solver(cfg, obj, d)
+            assert tr.converged == (tr.gradient_norms[-1] == 0.0)
+            counts.append(tr.iteration_count)
+        assert counts == [67, 129, 39, 97, 500, 44, 86, 9, 500, 81]
+
+    @pytest.mark.parametrize("kind", ["uniform", "proportional", "permutation", "cyclic"])
+    def test_draw_count_is_iteration_count(self, kind, monkeypatch):
+        made = []
+
+        def spy(*args, **kwargs):
+            made.append(sampling.make_sampler(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(solvers, "make_sampler", spy)
+        obj, d = nesterov_worst(15), multilevel_nodal_decomposition(4)
+        tr = run_solver(SolverConfig(method="rfasd", sampler=kind, seed=1), obj, d)
+        assert tr.converged
+        assert made[0].draw_count == tr.iteration_count > 0
+
+    def test_converged_means_true_gradient_met_tolerance(self):
+        obj, d = nesterov_worst(1023), multilevel_nodal_decomposition(10)
+        cfg = SolverConfig(method="rfasd", seed=0, tolerance=1e-12)
+        tr = run_solver(cfg, obj, d)
+        final = np.linalg.norm(obj.gradient(tr.final_x))
+        assert tr.converged
+        assert final <= cfg.tolerance * np.linalg.norm(obj.gradient(np.ones(1023)))
+        assert tr.gradient_norms[-1] == final
+
+    @pytest.mark.parametrize("hessian", ["banded", "dense"])
+    def test_stale_carried_gradient_is_not_converged(self, hessian):
+        # the carried gradient follows H, the true one H + 1e-3 I, so the
+        # carried norm crosses the threshold first: the run resyncs from
+        # the true gradient and goes on until that one crosses
+        class Skewed(QuadraticObjective):
+            def gradient(self, x):
+                return super().gradient(x) + 1e-3 * np.asarray(x)
+
+        h, b = nesterov_matrix_form(15)
+        obj = Skewed(h if hessian == "banded" else h.dense(), b)
+        d = multilevel_nodal_decomposition(4)
+        tr = run_solver(SolverConfig(method="rfasd", seed=0), obj, d)
+        g0 = np.linalg.norm(obj.gradient(np.ones(15)))
+        assert tr.converged
+        assert np.linalg.norm(obj.gradient(tr.final_x)) <= 1e-6 * g0
+        assert tr.gradient_norms[-1] <= 1e-6 * g0
