@@ -122,8 +122,6 @@ class Decomposition:
             multi and (sizes % k).any()
         ):
             raise ValueError("run length is not a positive multiple of k")
-        if rows.min() < 0 or rows.max() >= metric.dimension:
-            raise ValueError("support index out of range")
         # lead: the support rows in order; ends: where each run's support ends
         lead, ends = rows, offsets[1:-1] - 1
         if multi:
@@ -132,15 +130,22 @@ class Decomposition:
                 raise ValueError("each support row must appear k times in a row")
             lead, ends = rows[col == 0], np.cumsum(sizes // k)[:-1] - 1
         step = lead[1:] - lead[:-1]
-        step[ends] = 1  # supports of consecutive runs may restart
-        if (step <= 0).any():
+        down = step <= 0
+        down[ends] = False  # supports of consecutive runs may restart
+        if down.any():
             raise ValueError("support indices must be strictly increasing")
+        # Increasing supports: each run's extreme rows are its first and last.
+        if rows[offsets[:-1]].min() < 0 or rows[offsets[1:] - 1].max() >= metric.dimension:
+            raise ValueError("support index out of range")
         _check_lipschitz(lipschitz)
         self.preconditioner = metric
         self.offsets, self.rows, self.vals = offsets, rows, vals
         self.k, self.lipschitz, self.level = k, lipschitz, level
         self.slots = _frozen(np.concatenate(([0], np.cumsum(k))), np.intp)
         self._stability = self._energies = self._entry = None
+        pair = (rows[1:] - rows[:-1] if multi else step) == 1
+        pair[offsets[1:-1] - 1] = False  # no pairs across subspaces
+        self._pair = _frozen(pair, bool)  # rows t and t + 1 are neighbours in a run
         self.scalars, galerkin = self.local_energies(metric)
         for i in galerkin:
             if np.linalg.matrix_rank(self.basis(i)[1]) != self.k[i]:
@@ -159,26 +164,32 @@ class Decomposition:
 
         ``scalars`` holds those of the k = 1 subspaces (NaN where k > 1)
         and ``galerkin`` maps each i with k > 1 to its dense (k, k) array.
-        Two segment sums over the bands for tridiagonal M; else one-entry
-        supports at once and one dense Galerkin product per longer
-        support.  Cached for the most recent operator (by identity), so
-        the constructor, Lipschitz constants, :meth:`apply_local` and
-        solver setup share one pass.
+        For tridiagonal M, one pass forms the applied basis ``M v_i`` on
+        each k = 1 support, ``(d_r v_r + e_r v_{r+1}) + e_{r-1} v_{r-1}``
+        with neighbours in the run only, and sums ``v_r (M v_i)_r``.  Else
+        one-entry supports at once and one dense Galerkin product per
+        longer support.  Cached for the most recent operator (by
+        identity), so the constructor, Lipschitz constants,
+        :meth:`apply_local`, :meth:`applied` and solver setup share it.
         """
         cached = self._energies
         if cached is not None and cached[0] is operator:
             return cached[1]
         offsets, rows, vals, one = self.offsets, self.rows, self.vals, self.k == 1
+        data = None
         if isinstance(operator, SpdOperator) and operator.is_banded:
             d, e = operator.bands
-            pair = rows[1:] - rows[:-1] == 1
-            pair[offsets[1:-1] - 1] = False  # no pairs across subspaces
-            cross = np.zeros(rows.size)  # e_r v_r v_{r+1} where a pair starts
-            e_at = np.append(e, 0.0)[rows[:-1]]
-            np.multiply(e_at, vals[:-1] * vals[1:], out=cross[:-1], where=pair)
-            out = np.add.reduceat(d[rows] * (vals * vals), offsets[:-1])
-            out += 2.0 * np.add.reduceat(cross, offsets[:-1])
+            if not one.all():  # blocks get zero columns here, NaN below
+                vals = vals * np.repeat(one, offsets[1:] - offsets[:-1])
+            up = np.append(e, 0.0)[rows[:-1]]
+            up *= self._pair  # e_r where rows r and r + 1 are in one run, else 0
+            inner, t = d[rows], np.empty(rows.size)  # in place: few temporaries
+            inner *= vals
+            inner[:-1] += np.multiply(up, vals[1:], out=t[:-1])
+            inner[1:] += np.multiply(up, vals[:-1], out=t[:-1])
+            out = np.add.reduceat(np.multiply(vals, inner, out=t), offsets[:-1])
             out[~one] = np.nan
+            data = (inner, vals)
         else:
             out = np.full(len(self), np.nan)
             lone = one & (offsets[1:] - offsets[:-1] == 1)  # one-entry runs at once
@@ -191,8 +202,45 @@ class Decomposition:
             i: _frozen(_galerkin(operator, *self.basis(i)), np.float64)
             for i in np.flatnonzero(~one).tolist()
         }
-        self._energies = (operator, (_frozen(out, np.float64), galerkin))
+        # [operator, result, pass data for applied(), applied(operator)]
+        self._energies = [operator, (_frozen(out, np.float64), galerkin), data, None]
         return self._energies[1]
+
+    def applied(self, operator):
+        """``(offsets, rows, vals)``: the nonzeros of each k = 1 ``M P_i``.
+
+        Flat CSR arrays for tridiagonal M, rows increasing within each
+        subspace: the nonzeros of the pass's ``M v_i`` on the support, plus
+        ``e_{b-1} v_b`` at b - 1 and ``e_{b1-1} v_{b1-1}`` at b1 around
+        each run [b, b1) of consecutive support rows.  Blocks get none.
+        Built on first use, then cached with the pass it reads.
+        """
+        cached = self._energies
+        if cached is None or cached[0] is not operator:
+            self.local_energies(operator)
+            cached = self._energies
+        if cached[3] is None:
+            if cached[2] is None:
+                raise ValueError("the applied basis needs a tridiagonal operator")
+            (inner, vals), rows = cached[2], self.rows
+            e = np.concatenate(([0.0], operator.bands[1], [0.0]))  # e[r] = e_{r-1}
+            cut = np.flatnonzero(~self._pair)  # runs of consecutive rows: lo..hi
+            lo, hi = np.append(0, cut + 1), np.append(cut, rows.size - 1)
+            # the entry behind each candidate: rows r - 1 of every lo, r of
+            # every nonzero of inner, r + 1 of every hi; a stable sort on
+            # entries puts them in row order
+            at = np.concatenate((lo, np.flatnonzero(inner != 0.0), hi))
+            m, row, val = lo.size, rows[at], vals[at]
+            row[:m] -= 1
+            row[-m:] += 1
+            val[:m] *= e[row[:m] + 1]
+            val[m:-m] = inner[at[m:-m]]
+            val[-m:] *= e[row[-m:]]
+            keep = np.argsort(at, kind="stable")
+            keep = keep[val[keep] != 0.0]
+            at = np.searchsorted(at[keep], self.offsets)
+            cached[2:] = None, tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
+        return cached[3]
 
     # -- flat kernel: restrict, local solve or apply, prolong-and-sum --
 
@@ -325,20 +373,17 @@ def multilevel_nodal_decomposition(level, metric=None):
     levels = np.arange(level, 0, -1)
     strides = 2 ** (level - levels)
     counts = n // strides
-    rows, vals = [], []
-    for stride in strides.tolist():
+    offsets = np.concatenate(([0], np.cumsum(np.repeat(2 * strides - 1, counts))))
+    rows, vals = np.empty(offsets[-1], np.intp), np.empty(offsets[-1])
+    at = 0
+    for stride, count in zip(strides.tolist(), counts.tolist()):
         # Every hat of a level has width 2 * stride - 1: centres never clip.
         span = np.arange(1 - stride, stride)
-        rows.append((np.arange(stride - 1, n, stride)[:, None] + span).ravel())
-        vals.append(np.repeat([1.0 - np.abs(span) / stride], n // stride, 0).ravel())
-    offsets = np.concatenate(([0], np.cumsum(np.repeat(2 * strides - 1, counts))))
-    return Decomposition(
-        metric,
-        offsets,
-        np.concatenate(rows),
-        np.concatenate(vals),
-        level=np.repeat(levels, counts),
-    )
+        end = at + count * span.size
+        np.add.outer(np.arange(stride - 1, n, stride), span, out=rows[at:end].reshape(count, -1))
+        vals[at:end].reshape(count, -1)[:] = 1.0 - np.abs(span) / stride
+        at = end
+    return Decomposition(metric, offsets, rows, vals, level=np.repeat(levels, counts))
 
 
 # -- per-subspace quantities -------------------------------------------

@@ -64,23 +64,14 @@ class Sampler:
         # run frees both at once instead of leaving a cycle to the collector.
         self._drawn = [0]
         self._stream = _index_stream(kind, self.size, self._rng, cumulative, self._drawn)
+        #: Next subspace index in ``{0, ..., J-1}``: the stream's own
+        #: ``__next__``, so a draw costs no extra method call.
+        self.next_index = self._stream.__next__
 
     @property
     def draw_count(self):
         """How many indices have been drawn."""
         return self._drawn[0]
-
-    def next_index(self):
-        """Next subspace index in ``{0, ..., J-1}``."""
-        return next(self._stream)
-
-    def draws(self):
-        """The stream as a generator, for loops that draw many indices.
-
-        It shares its position and ``draw_count`` with :meth:`next_index`
-        and skips the per-draw method call.
-        """
-        return self._stream
 
     def __iter__(self):
         return self

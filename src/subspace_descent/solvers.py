@@ -26,10 +26,12 @@ Methods
     the other subspaces solve the stationarity equation.
 
 For quadratic objectives the gradient and objective value are carried
-incrementally (one rank-k window update through the Hessian per step).
-Under a banded Hessian so is ``||g||^2``, which makes a step O(support
-size); k = 1 supports at most ``_SCALAR_WIDTH`` wide take the step on
-Python floats, with the same arithmetic as the array path.  The carried
+incrementally (one rank-k update through the Hessian per step).  Under
+a banded Hessian so is ``||g||^2``, which makes a step O(support size):
+k = 1 supports at most ``_SCALAR_WIDTH`` wide take the step on Python
+floats, wider ones take one dot over the support and update g only at
+the nnz(H P_i) cached nonzeros of ``Decomposition.applied`` (3 for a
+multilevel hat), and blocks use a (width + 2)-row window.  The carried
 norm is set exactly from g at every epoch boundary, and the stopping
 test uses the exact norm whenever the carried one is within its
 rounding bound of the threshold.  A run stops as converged only if the
@@ -80,6 +82,9 @@ _GUARD_GROWTH = 1e3
 
 # Widest k = 1 support that takes the scalar step under a banded Hessian.
 _SCALAR_WIDTH = 3
+# Most nonzeros of H P_i that a wider k = 1 step updates one at a time;
+# longer stencils are applied as one gather / add / scatter.
+_STENCIL_LOOP = 10
 
 
 class DivergenceError(RuntimeError):
@@ -549,8 +554,12 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         hscal, hgal = d.local_energies(h)
         for i in general:
             hloc[i] = hgal[i] if i in hgal else np.array([[hscal[i]]])
-    # Narrow k = 1 supports under a banded Hessian take the scalar step.
+    # Narrow k = 1 supports under a banded Hessian take the scalar step,
+    # wider ones update g at the cached nonzeros of H P_i.
     narrow = single & (b1_arr - b0_arr <= _SCALAR_WIDTH) & banded
+    wide = single & banded & ~narrow
+    if wide.any():
+        aoff, arows, avals = d.applied(h)
 
     g = objective.gradient(x)
     f = objective.value(x)
@@ -570,7 +579,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
 
     k = 0
     converged = False
-    next_index = sampler.draws().__next__
+    next_index = sampler.next_index
     while True:
         if gn2 <= thr2 + tau * (slack + thr2):
             gn2 = slack = float(g @ g)
@@ -612,6 +621,30 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                         x[r] = x.item(r) + wc
                 el, wl, wc = er, wc, wr
                 wr = c * vals.item(o + r + 2) if r + 2 < b1 else 0.0
+            gn2 += s_new - s_old
+            slack += s_new + s_old
+        elif wide.item(i):
+            # The slice path's g_i, x and f, then g += c H P_i at its
+            # nonzeros: row by row, or as one scatter for long stencils.
+            b, b1, p, p1 = b0_arr.item(i), b1_arr.item(i), aoff.item(i), aoff.item(i + 1)
+            col = vals[offsets.item(i) : offsets.item(i + 1)]
+            gi = float(col @ g[b:b1])
+            c = alpha.item(i) * (-gi / scal.item(i))
+            x[b:b1] += c * col
+            f += c * gi + 0.5 * c * c * hscal.item(i)
+            if p1 - p > _STENCIL_LOOP:
+                at = arows[p:p1]
+                old = g[at]
+                g[at] = new = old + c * avals[p:p1]
+                s_old, s_new = float(old @ old), float(new @ new)
+            else:
+                s_old = s_new = 0.0
+                for t in range(p, p1):
+                    r = arows.item(t)
+                    old = g.item(r)
+                    g[r] = new = old + c * avals.item(t)
+                    s_old += old * old
+                    s_new += new * new
             gn2 += s_new - s_old
             slack += s_new + s_old
         else:

@@ -397,6 +397,73 @@ class TestFlatKernel:
         assert stability_constant(small, dense_limit=4) == pytest.approx(1.0, rel=1e-6)
 
 
+def random_tridiagonal(n, seed):
+    """A random SPD tridiagonal operator with non-dyadic bands."""
+    rng = np.random.default_rng(seed)
+    off = -(0.5 + 0.5 * rng.random(n - 1))
+    return SpdOperator.tridiagonal(2.0 + rng.random(n), off)
+
+
+def scattered(d, applied, i):
+    """``M P_i`` of subspace i (k = 1) as a full vector, from ``applied``."""
+    offsets, rows, vals = applied
+    out = np.zeros(d.ambient_dimension)
+    at = slice(offsets[i], offsets[i + 1])
+    np.add.at(out, rows[at], vals[at])
+    return out
+
+
+class TestAppliedBasis:
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_hats_match_dense_stencil(self, level):
+        h = nesterov_worst(2**level - 1).hessian
+        d = multilevel_nodal_decomposition(level)
+        offsets, rows, vals = d.applied(h)
+        dense = h.dense()
+        for i in range(len(d)):
+            col = dense @ prolongation(d, i)[:, 0]
+            at = slice(offsets[i], offsets[i + 1])
+            assert rows[at].tolist() == np.flatnonzero(col).tolist()
+            assert vals[at].tolist() == col[col != 0].tolist()
+
+    def test_every_hat_has_at_most_three_entries(self):
+        # the coarse-grid stencil: O(1) work per step, O(J) memory
+        for level in range(1, 14):
+            d = multilevel_nodal_decomposition(level)
+            offsets = d.applied(nesterov_worst(2**level - 1).hessian)[0]
+            assert offsets[-1] <= 3 * len(d) and np.diff(offsets).max() <= 3
+
+    @pytest.mark.parametrize("family", ["hats", "mixed"])
+    def test_random_tridiagonal_matches_matvec(self, family):
+        d = multilevel_nodal_decomposition(6) if family == "hats" else mixed_family()
+        n = d.ambient_dimension
+        h = random_tridiagonal(n, seed=3)
+        applied = d.applied(h)
+        bound = 4 * np.finfo(float).eps * np.linalg.norm(h.dense(), 2)
+        if family == "hats":  # non-dyadic: the interior entries are kept
+            assert np.diff(applied[0]).max() == 63  # the whole-domain hat
+        for i in range(len(d)):
+            if i in d.blocks:
+                assert applied[0][i] == applied[0][i + 1]
+                continue
+            v = prolongation(d, i)[:, 0]
+            err = np.abs(scattered(d, applied, i) - h.matvec(v)).max()
+            assert err <= bound * np.linalg.norm(v)
+
+    def test_cached_with_the_energies(self):
+        d = mixed_family()
+        h = random_tridiagonal(7, seed=1)
+        first = d.applied(h)
+        assert d.applied(h) is first
+        assert with_quadratic_lipschitz(d, h).applied(h) is first
+        d.local_energies(d.preconditioner)  # another operator replaces it
+        again = d.applied(h)
+        assert again is not first
+        assert all(np.array_equal(a, b) for a, b in zip(again, first))
+        with pytest.raises(ValueError, match="tridiagonal"):
+            d.applied(SpdOperator.from_dense(h.dense()))
+
+
 def test_export_format(tmp_path):
     d = multilevel_nodal_decomposition(3)
     p = tmp_path / "dec.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -49,6 +50,17 @@ class TestRunExperiment:
     def test_trials_with_same_seed_in_ensemble_differ(self):
         s = run_experiment(tiny_spec(trials=6))
         assert len(set(s.iterations)) > 1  # uniform sampling varies
+
+    def test_acceptance_counts_are_pinned(self):
+        # seed 42: the ml-cyclic-n8191 cell and trial 0 of ml-uniform-n1023x10
+        spec = ExperimentSpec(level=13, method="rfasd", sampler="cyclic", trials=1)
+        assert run_experiment(spec).iterations == [155514]
+        spec = ExperimentSpec(level=10, method="rfasd", trials=1)
+        (trace,) = run_experiment(spec, keep_traces=True).traces
+        assert trace.iteration_count == 29736
+        assert hashlib.sha256(trace.chosen.tobytes()).hexdigest() == (
+            "85ce5eab49022132aa5e90cd814496f01ca0512506bdc830253529025acaf1bc"
+        )
 
     def test_cyclic_coordinate_descent_fifteen(self):
         s = run_experiment(

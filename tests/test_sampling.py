@@ -120,11 +120,18 @@ class TestBookkeeping:
         lip = np.arange(1.0, 8.0)
         a = make_sampler(kind, size=7, lipschitz=lip, seed=4)
         b = make_sampler(kind, size=7, lipschitz=lip, seed=4)
-        gen = b.draws()
-        # interleaved with next_index, across several batch boundaries
-        got = [b.next_index() if t % 5 == 0 else next(gen) for t in range(2500)]
-        assert got == draws(a, 2500)
-        assert b.draw_count == 2500
+        # next_index, next() and iteration interleaved, across several
+        # batch boundaries
+        got = []
+        while len(got) < 2500:
+            got.append(b.next_index())
+            got.append(next(b))
+            for i in b:
+                got.append(i)
+                if len(got) % 7 == 0:
+                    break
+            assert b.draw_count == len(got)
+        assert got == draws(a, len(got))
         assert all(type(i) is int for i in got)
 
     def test_iterator_protocol(self):

@@ -4,12 +4,14 @@ from numpy.testing import assert_allclose
 
 from packing import mixed_family
 from subspace_descent.decomposition import (
+    Decomposition,
     block_decomposition,
     coordinate_decomposition,
     multilevel_nodal_decomposition,
     with_local_lipschitz,
     with_quadratic_lipschitz,
 )
+from subspace_descent.experiments import ExperimentSpec, build_problem, theory_check
 from subspace_descent.linalg import NotSpdError, SpdOperator
 from subspace_descent import sampling, solvers
 from subspace_descent.objectives import (
@@ -420,20 +422,45 @@ def true_norms(obj, xs):
     return np.array([np.linalg.norm(obj.gradient(x)) for x in xs])
 
 
+def replay_level6(obj, d):
+    """Run rfasd at level 6 and check it against the single-step replay.
+
+    The k = 1 hats are 1, 3, 7, 15, 31 and 63 wide, on both sides of the
+    scalar-step switch, including both boundary hats.  Returns the
+    decomposition and the trace.
+    """
+    cfg = SolverConfig(method="rfasd", seed=3, max_iterations=1500)
+    tr = run_solver(cfg, obj, d)
+    widths = np.diff(d.offsets)[tr.chosen]
+    assert set(widths.tolist()) == {1, 3, 7, 15, 31, 63}
+    xs = replay_states(obj, d, tr.chosen)
+    assert_allclose(tr.final_x, xs[-1], rtol=1e-12)
+    assert_allclose(tr.objective_values, [obj.value(x) for x in xs], rtol=1e-12)
+    assert_allclose(tr.gradient_norms, true_norms(obj, xs), rtol=1e-9)
+    return d, tr
+
+
+def long_stencils(obj, d, tr):
+    """Whether each wide step of ``tr`` updated g as one scatter."""
+    wide = np.diff(d.offsets)[tr.chosen] > solvers._SCALAR_WIDTH
+    stencils = np.diff(d.applied(obj.hessian)[0])[tr.chosen]
+    return stencils[wide] > solvers._STENCIL_LOOP
+
+
 class TestScalarStepAndStop:
     def test_replay_across_the_width_switch(self):
-        # level 6: k = 1 hats 1, 3, 7, 15, 31 and 63 wide, on both sides
-        # of the scalar-step switch, including both boundary hats
         obj = nesterov_worst(63)
         d = multilevel_nodal_decomposition(6)
-        cfg = SolverConfig(method="rfasd", seed=3, max_iterations=1500)
-        tr = run_solver(cfg, obj, d)
-        widths = np.diff(d.offsets)[tr.chosen]
-        assert set(widths.tolist()) == {1, 3, 7, 15, 31, 63}
-        xs = replay_states(obj, d, tr.chosen)
-        assert_allclose(tr.final_x, xs[-1], rtol=1e-12)
-        assert_allclose(tr.objective_values, [obj.value(x) for x in xs], rtol=1e-12)
-        assert_allclose(tr.gradient_norms, true_norms(obj, xs), rtol=1e-9)
+        assert not long_stencils(obj, *replay_level6(obj, d)).any()
+
+    def test_replay_long_stencils(self):
+        # a random tridiagonal H: the wide hats' stencils cover the support
+        rng = np.random.default_rng(11)
+        h = SpdOperator.tridiagonal(2.0 + rng.random(63), -0.5 - 0.5 * rng.random(62))
+        obj = QuadraticObjective(h, rng.standard_normal(63))
+        d = with_quadratic_lipschitz(multilevel_nodal_decomposition(6), h)
+        long = long_stencils(obj, *replay_level6(obj, d))
+        assert long.any() and not long.all()
 
     @pytest.mark.parametrize(
         "n, level, seed, kw",
@@ -479,6 +506,24 @@ class TestScalarStepAndStop:
         tr = run_solver(SolverConfig(method="rfasd", sampler=kind, seed=1), obj, d)
         assert tr.converged
         assert made[0].draw_count == tr.iteration_count > 0
+
+    def test_applied_basis_built_only_for_wide_hats(self, monkeypatch):
+        calls = []
+        build = Decomposition.applied
+
+        def spy(self, operator):
+            calls.append(self)
+            return build(self, operator)
+
+        monkeypatch.setattr(Decomposition, "applied", spy)
+        obj, d = build_problem(ExperimentSpec(level=6, method="rcd", sampler="cyclic"))
+        run_solver(SolverConfig(method="rcd", sampler="cyclic"), obj, d)
+        theory_check(ExperimentSpec(level=5), probe_count=10, decay_count=5)
+        assert calls == [] and d._energies[3] is None
+        obj, d = build_problem(ExperimentSpec(level=6))
+        for seed in (0, 1):  # trials share the cached set
+            run_solver(SolverConfig(method="rfasd", seed=seed, max_iterations=5), obj, d)
+        assert calls == [d, d] and d._energies[3] is d.applied(obj.hessian)
 
     def test_converged_means_true_gradient_met_tolerance(self):
         obj, d = nesterov_worst(1023), multilevel_nodal_decomposition(10)
