@@ -36,6 +36,7 @@ from .linalg import (
     dual_norm,
     extreme_eigenvalues,
     inner_product,
+    pencil_eigenvalue,
     spd_solve,
 )
 from .objectives import (

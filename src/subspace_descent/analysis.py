@@ -21,9 +21,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .linalg import DENSE_EIG_LIMIT, SpdOperator, as_vector
+from .linalg import DENSE_EIG_LIMIT, as_vector, extreme_eigenvalues
 
 __all__ = [
     "TheoryCheck",
@@ -81,29 +80,14 @@ class TheoryReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _dense(m):
-    if isinstance(m, SpdOperator):
-        return m.dense()
-    return np.asarray(m, dtype=np.float64)
-
-
 def quadratic_metric_constants(hessian, metric, dense_limit=DENSE_EIG_LIMIT):
     """Extreme generalized eigenvalues ``(mu_A, L_A)`` of H against A.
 
     These are the strong-convexity and smoothness constants of the
-    quadratic ``1/2 (Hx, x) - (b, x)`` measured in the A-norm.  Dense
-    generalized eigensolve; refuses dimensions above ``dense_limit``.
+    quadratic ``1/2 (Hx, x) - (b, x)`` measured in the A-norm, from
+    :func:`extreme_eigenvalues` (Lanczos for banded operators).
     """
-    h = _dense(hessian)
-    a = _dense(metric)
-    if h.shape != a.shape:
-        raise ValueError("hessian and metric dimensions disagree")
-    if h.shape[0] > dense_limit:
-        raise ValueError(
-            f"generalized eigensolve refused for n={h.shape[0]} > {dense_limit}"
-        )
-    w = sla.eigh(h, a, eigvals_only=True, check_finite=False)
-    return float(w[0]), float(w[-1])
+    return extreme_eigenvalues(hessian, metric, dense_limit)
 
 
 def linear_rate_bound(mu, mean_lipschitz, stability, size):

@@ -24,6 +24,7 @@ __all__ = [
     "dual_norm",
     "spd_solve",
     "extreme_eigenvalues",
+    "pencil_eigenvalue",
 ]
 
 # Pivots of the Cholesky factor below this fraction of the largest
@@ -264,6 +265,15 @@ class SpdOperator:
             )
         return self._raw_solve(b)
 
+    def upper_factor(self):
+        """Upper-triangular U with ``A = U^T U``, a scipy.sparse CSR array."""
+        import scipy.sparse as sp
+
+        if self._dense is not None:
+            return sp.csr_array(np.tril(self._factor[0]).T)
+        f, n = self._factor, self.dimension
+        return sp.diags_array([f[1], f[0, 1:]], offsets=[0, 1], shape=(n, n), format="csr")
+
     def extreme_eigenvalues(self):
         """Smallest and largest eigenvalue as ``(lo, hi)``."""
         if self._dense is not None:
@@ -306,6 +316,11 @@ def _operator_or_matrix(a):
     if isinstance(a, SpdOperator):
         return a
     return SpdOperator.from_dense(a)
+
+
+def _dense(m):
+    """An operator or array as a dense float64 array."""
+    return m.dense() if isinstance(m, SpdOperator) else np.asarray(m, dtype=np.float64)
 
 
 def inner_product(x, y):
@@ -363,21 +378,58 @@ def spd_solve(a, b):
     return _operator_or_matrix(a).solve(b)
 
 
-def extreme_eigenvalues(m, dense_limit=DENSE_EIG_LIMIT):
-    """Smallest and largest eigenvalue of a symmetric matrix.
+def extreme_eigenvalues(m, metric=None, dense_limit=DENSE_EIG_LIMIT):
+    """Smallest and largest eigenvalue of a symmetric matrix or pencil.
 
-    Dense symmetric eigendecomposition up to ``dense_limit``; beyond
-    that, pass an ``SpdOperator`` in banded storage (which has a cheap
-    banded path) or raise the limit explicitly.
+    With ``metric`` A, those of ``m x = lambda A x``.  Banded operators
+    (and a pencil of two, n >= 3) have banded paths without a size limit;
+    otherwise a dense eigensolve, refused beyond ``dense_limit``.
     """
-    if isinstance(m, SpdOperator):
+    if metric is None and isinstance(m, SpdOperator):
         return m.extreme_eigenvalues()
-    m = np.asarray(m, dtype=np.float64)
+    if metric is not None and np.shape(metric) != np.shape(m):
+        raise DimensionMismatchError("operator and metric dimensions disagree")
+    both = isinstance(m, SpdOperator) and isinstance(metric, SpdOperator)
+    if both and m.is_banded and metric.is_banded and m.dimension >= 3:
+        lo = pencil_eigenvalue(m.matvec, metric, inverse=m._raw_solve)
+        return lo, pencil_eigenvalue(m.matvec, metric, "LA")
+    m = _dense(m)
     _check_symmetric(m)
     if m.shape[0] > dense_limit:
         raise ValueError(
             f"dense eigendecomposition refused for n={m.shape[0]} > {dense_limit}; "
             "use banded storage or raise dense_limit"
         )
-    w = sla.eigvalsh(m)
+    w = sla.eigh(m, None if metric is None else _dense(metric), eigvals_only=True)
     return float(w[0]), float(w[-1])
+
+
+def pencil_eigenvalue(apply, metric, which="SA", tol=0.0, inverse=None):
+    """One extreme eigenvalue of the pencil ``K x = lambda A x`` by ARPACK.
+
+    Lanczos in the A-inner product: ``apply`` multiplies by K, ``which``
+    is "SA" or "LA"; with ``inverse`` (a solve with K) the smallest by
+    shift-invert at 0.  ``tol`` is the relative accuracy (0: machine
+    precision).  The start vector is fixed, so calls repeat bitwise, and
+    not mirror-symmetric, so it meets every eigenvector of a symmetric
+    problem.  Raises ``ValueError`` if ARPACK does not converge.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    n = metric.dimension
+
+    def op(f):
+        return LinearOperator((n, n), matvec=f, dtype=np.float64)
+
+    if inverse is None:
+        solve = dict(Minv=op(metric._raw_solve), which=which)
+    else:
+        solve = dict(sigma=0.0, OPinv=op(inverse), which="LM")
+    try:
+        w = eigsh(
+            op(apply), k=1, M=op(metric.matvec), tol=tol,
+            v0=np.linspace(1.0, 2.0, n), return_eigenvectors=False, **solve,
+        )
+    except ArpackNoConvergence as exc:
+        raise ValueError(f"Lanczos did not converge: {exc}") from exc
+    return float(w[0])

@@ -48,10 +48,8 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linalg import (
-    DENSE_EIG_LIMIT,
     NotSpdError,
     SpdOperator,
     as_vector,
@@ -333,14 +331,7 @@ def _full_space_setup(config, objective, decomposition):
         return None, 1.0 / extreme_eigenvalues(h)[1]
     if objective.hessian is precond:
         return precond, 1.0
-    hd = h.dense() if isinstance(h, SpdOperator) else h
-    if hd.shape[0] > DENSE_EIG_LIMIT:
-        raise ValueError(
-            "pgd smoothness constant needs a dense generalized eigensolve; "
-            f"n={hd.shape[0]} exceeds {DENSE_EIG_LIMIT}, pass step_size explicitly"
-        )
-    w = sla.eigvalsh(hd, precond.dense(), check_finite=False)
-    return precond, 1.0 / float(w[-1])
+    return precond, 1.0 / extreme_eigenvalues(h, precond)[1]
 
 
 def run_solver(

@@ -70,9 +70,17 @@ class TestMetricConstants:
         assert 0 < mu <= big_l
 
     def test_dense_limit(self):
-        a = dirichlet_laplacian(8)
+        a = SpdOperator.from_dense(dirichlet_laplacian(8).dense())
         with pytest.raises(ValueError):
             quadratic_metric_constants(a, a, dense_limit=4)
+
+    def test_banded_constants_past_the_dense_limit(self):
+        # level 13: H and A equal as matrices, held as two banded operators
+        h, a = nesterov_worst(8191).hessian, dirichlet_laplacian(8191)
+        assert h is not a
+        mu, big_l = quadratic_metric_constants(h, a)
+        assert abs(mu - 1.0) <= 1e-10 and abs(big_l - 1.0) <= 1e-10
+        assert quadratic_metric_constants(h, a) == (mu, big_l)
 
 
 class TestLinearRateBound:

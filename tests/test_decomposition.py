@@ -239,6 +239,22 @@ class TestRcdColumn:
         assert_allclose(got, [np.linalg.norm(m[:, i]) for i in range(6)], rtol=1e-14)
 
 
+def reference_stability_constant(d):
+    """``1 / lambda_min(B A)`` from the dense B, summed one outer product
+    (or block) per subspace, and a dense generalized eigensolve."""
+    n = d.ambient_dimension
+    b = np.zeros((n, n))
+    for i in range(len(d)):
+        support, basis = d.basis(i)
+        if i in d.blocks:
+            blk = basis @ d.blocks[i].solve_columns(basis.T)
+        else:
+            blk = np.outer(basis, basis) / d.scalars[i]
+        b[np.ix_(support, support)] += blk
+    ad = d.preconditioner.dense()
+    return 1.0 / sla.eigh(ad @ b @ ad, ad, eigvals_only=True)[0]
+
+
 class TestStabilityConstant:
     def test_coordinate_identity(self):
         d = coordinate_decomposition(5)
@@ -268,11 +284,44 @@ class TestStabilityConstant:
         shuffled = pack(d.preconditioner, [parts[i] for i in order])
         assert stability_constant(shuffled) == pytest.approx(c, rel=1e-12)
 
-    def test_power_iteration_matches_dense(self):
-        d = multilevel_nodal_decomposition(5)
+    @pytest.mark.parametrize("level", [5, 7])
+    def test_matrix_free_matches_dense(self, level):
+        d = multilevel_nodal_decomposition(level)
         dense = stability_constant(d)
         est = stability_constant(d, dense_limit=4)
-        assert est == pytest.approx(dense, rel=1e-4)
+        assert est == pytest.approx(dense, rel=1e-6)
+        assert stability_constant(d, dense_limit=4) == est
+
+    @pytest.mark.parametrize("case", [*range(3, 11), "mixed", "shuffled", "dense"])
+    def test_matches_outer_product_reference(self, case):
+        if case == "mixed":
+            d = mixed_family()
+        elif case == "shuffled":
+            d = mixed_family()
+            order = np.random.default_rng(1).permutation(len(d))
+            d = pack(d.preconditioner, [parts_of(d)[i] for i in order])
+        elif case == "dense":
+            w = np.random.default_rng(2).standard_normal((15, 15))
+            metric = SpdOperator.from_dense(w @ w.T + 15 * np.eye(15))
+            d = multilevel_nodal_decomposition(4, metric)
+        else:
+            d = multilevel_nodal_decomposition(case)
+        got = stability_constant(d)
+        assert got == pytest.approx(reference_stability_constant(d), rel=1e-12)
+        assert stability_constant(d) == got
+
+    def test_redundant_splitting_is_below_one(self):
+        # two copies of the coordinates: B A = 2 I, although the local
+        # matrices are Galerkin
+        d = pack(SpdOperator.identity(4), 2 * parts_of(coordinate_decomposition(4)))
+        assert stability_constant(d) == pytest.approx(0.5, rel=1e-14)
+        assert stability_constant(d, dense_limit=2) == pytest.approx(0.5, rel=1e-6)
+
+    def test_not_spanning_raises(self):
+        d = pack(SpdOperator.identity(3), parts_of(coordinate_decomposition(3))[:2])
+        for limit in (3, 2):
+            with pytest.raises(ValueError, match="span"):
+                stability_constant(d, dense_limit=limit)
 
     def test_cached_on_decomposition(self):
         d = coordinate_decomposition(3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from subspace_descent.linalg import (
@@ -208,6 +209,51 @@ class TestExtremeEigenvalues:
     def test_dense_limit(self):
         with pytest.raises(ValueError):
             extreme_eigenvalues(np.eye(8), dense_limit=4)
+
+
+def random_tridiagonal_spd(rng, n):
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    diag = rng.uniform(0.1, 2.0, n)
+    diag[1:] += np.abs(off)
+    diag[:-1] += np.abs(off)
+    return SpdOperator.tridiagonal(diag, off)
+
+
+class TestPencilEigenvalues:
+    @pytest.mark.parametrize("n", [3, 64, 1023])
+    def test_banded_pencil_matches_dense_eigh(self, n):
+        rng = np.random.default_rng(n)
+        h, a = random_tridiagonal_spd(rng, n), random_tridiagonal_spd(rng, n)
+        w = sla.eigh(h.dense(), a.dense(), eigvals_only=True)
+        assert_allclose(extreme_eigenvalues(h, a), [w[0], w[-1]], rtol=1e-10)
+
+    def test_repeats_bitwise(self):
+        rng = np.random.default_rng(5)
+        h, a = random_tridiagonal_spd(rng, 200), random_tridiagonal_spd(rng, 200)
+        assert extreme_eigenvalues(h, a) == extreme_eigenvalues(h, a)
+
+    def test_size_limit_only_for_dense_inputs(self):
+        rng = np.random.default_rng(6)
+        h, a = random_tridiagonal_spd(rng, 8), random_tridiagonal_spd(rng, 8)
+        w = sla.eigh(h.dense(), a.dense(), eigvals_only=True)
+        got = extreme_eigenvalues(h, a, dense_limit=4)
+        assert_allclose(got, [w[0], w[-1]], rtol=1e-10)
+        with pytest.raises(ValueError, match="refused"):
+            extreme_eigenvalues(SpdOperator.from_dense(h.dense()), a, dense_limit=4)
+
+    def test_small_and_dense_pencils_take_the_dense_solve(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2):
+            h, a = random_tridiagonal_spd(rng, n), random_tridiagonal_spd(rng, n)
+            w = sla.eigh(h.dense(), a.dense(), eigvals_only=True)
+            assert extreme_eigenvalues(h, a) == (w[0], w[-1])
+        m = random_spd(rng, 6)
+        w = sla.eigh(m, np.diag(np.arange(1.0, 7.0)), eigvals_only=True)
+        assert extreme_eigenvalues(m, np.diag(np.arange(1.0, 7.0))) == (w[0], w[-1])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            extreme_eigenvalues(dirichlet_laplacian(5), dirichlet_laplacian(6))
 
 
 class TestSpdOperatorStorage:

@@ -278,6 +278,14 @@ class TestRunSolver:
             assert tr.converged
             assert tr.iteration_count == 1
 
+    def test_pgd_past_the_dense_limit_without_step_size(self):
+        obj = nesterov_worst(8191)
+        d = multilevel_nodal_decomposition(13)
+        assert obj.hessian is not d.preconditioner
+        tr = run_solver(SolverConfig(method="pgd"), obj, d)
+        assert tr.converged
+        assert tr.iteration_count == 1
+
     def test_gd_converges_monotonically(self):
         obj = nesterov_worst(7)
         tr = run_solver(SolverConfig(method="gd"), obj)
