@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -254,6 +259,18 @@ class TestPencilEigenvalues:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             extreme_eigenvalues(dirichlet_laplacian(5), dirichlet_laplacian(6))
+
+    def test_package_import_leaves_scipy_sparse_unloaded(self):
+        # the sparse modules load on the first pencil or stability call
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, subspace_descent; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestSpdOperatorStorage:
