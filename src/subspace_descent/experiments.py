@@ -187,8 +187,9 @@ def run_experiment(spec, trace_dir=None, keep_traces=False):
 
     Trial t uses seed ``spec.seed + t``.  With ``trace_dir`` set, each
     trial writes a per-iteration CSV there; ``keep_traces`` attaches the
-    RunTrace objects to the returned summary (memory permitting).
-    Trials run serially; ``seconds`` is their total wall time.
+    RunTrace objects to the returned summary.  With neither, a trace is
+    dropped once its trial ends.  Trials run serially; ``seconds`` is
+    their total wall time.
     """
     if spec.trials < 1:
         raise ValueError("trials must be at least 1")
@@ -199,7 +200,7 @@ def run_experiment(spec, trace_dir=None, keep_traces=False):
     semidefinite_ok = objective.is_quadratic and objective.hessian is None
 
     started = time.perf_counter()
-    traces = []
+    outcomes, traces = [], []
     for t in range(spec.trials):
         config = SolverConfig(
             method=spec.method.lower(),
@@ -208,15 +209,13 @@ def run_experiment(spec, trace_dir=None, keep_traces=False):
             max_iterations=spec.max_iterations,
             seed=spec.seed + t,
         )
-        traces.append(
-            run_solver(
-                config,
-                objective,
-                decomposition,
-                x0=x0,
-                allow_semidefinite=semidefinite_ok,
-            )
+        trace = run_solver(
+            config, objective, decomposition, x0=x0, allow_semidefinite=semidefinite_ok
         )
+        outcomes.append((trace.iteration_count, trace.epoch_count, trace.converged))
+        if keep_traces or trace_dir is not None:
+            traces.append(trace)
+        del trace  # otherwise it lives on through the next trial
     seconds = time.perf_counter() - started
 
     if trace_dir is not None:
@@ -230,9 +229,9 @@ def run_experiment(spec, trace_dir=None, keep_traces=False):
         j=j,
         method=spec.method.lower(),
         sampler=spec.sampler if spec.method.lower() not in ("gd", "pgd") else "none",
-        iterations=[t.iteration_count for t in traces],
-        epochs=[t.epoch_count for t in traces],
-        converged=[t.converged for t in traces],
+        iterations=[o[0] for o in outcomes],
+        epochs=[o[1] for o in outcomes],
+        converged=[o[2] for o in outcomes],
         seconds=seconds,
         seed=spec.seed,
         traces=traces if keep_traces else None,

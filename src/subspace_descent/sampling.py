@@ -23,6 +23,9 @@ defines the stream.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import length_hint
+
 import numpy as np
 
 __all__ = ["SAMPLER_KINDS", "Sampler", "make_sampler"]
@@ -62,16 +65,15 @@ class Sampler:
             self.probabilities = np.full(size, 1.0 / size)
         # The stream holds no reference to the sampler, so that a finished
         # run frees both at once instead of leaving a cycle to the collector.
-        self._drawn = [0]
-        self._stream = _index_stream(kind, self.size, self._rng, cumulative, self._drawn)
-        #: Next subspace index in ``{0, ..., J-1}``: the stream's own
-        #: ``__next__``, so a draw costs no extra method call.
-        self.next_index = self._stream.__next__
+        self._fetched = fetched = [0, iter(())]
+        batches = _batches(kind, self.size, self._rng, cumulative, fetched)
+        #: Next subspace index in ``{0, ..., J-1}``; a draw runs no Python frame.
+        self.next_index = chain.from_iterable(batches).__next__
 
     @property
     def draw_count(self):
         """How many indices have been drawn."""
-        return self._drawn[0]
+        return self._fetched[0] - length_hint(self._fetched[1])
 
     def __iter__(self):
         return self
@@ -83,9 +85,9 @@ class Sampler:
         return f"Sampler({self.kind!r}, J={self.size}, seed={self.seed})"
 
 
-def _index_stream(kind, size, rng, cumulative, drawn):
-    """The index stream, a batch at a time; counts in ``drawn[0]`` each
-    index it yields."""
+def _batches(kind, size, rng, cumulative, fetched):
+    """Iterators over the stream's batches; ``fetched`` holds the number of
+    indices made so far and the iterator over the current batch."""
     while True:
         if kind == "cyclic":
             batch = range(size)
@@ -96,9 +98,9 @@ def _index_stream(kind, size, rng, cumulative, drawn):
         else:  # proportional: inverse CDF with ties resolved to the lower index
             batch = np.searchsorted(cumulative, rng.random(_BATCH), side="left")
             batch = np.minimum(batch, size - 1).tolist()
-        for i in batch:
-            drawn[0] += 1
-            yield i
+        fetched[0] += len(batch)
+        fetched[1] = it = iter(batch)
+        yield it
 
 
 def make_sampler(kind, size=None, lipschitz=None, seed=0):

@@ -38,14 +38,16 @@ rounding bound of the threshold.  A run stops as converged only if the
 true gradient at the final iterate meets the tolerance; if it does not,
 g, f and the norm are resynced from it and the run goes on.  The loop
 and the single-step reference functions address subspace i of a
-decomposition by its index and read it from the flat arrays.
+decomposition by its index and read it from the flat arrays.  Single
+entries of these, g and x go through memoryviews: they index in half
+the time of ``ndarray.item`` or ``g[r] = v``, which outweigh a step's math.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -77,6 +79,7 @@ METHODS = ("gd", "pgd", "rcd", "rbcd", "rfasd", "rfas")
 # combined with a 1e3-fold growth over the window, aborts the run.
 _GUARD_EPOCHS = 10
 _GUARD_GROWTH = 1e3
+_TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 
 # Widest k = 1 support that takes the scalar step under a banded Hessian.
 _SCALAR_WIDTH = 3
@@ -405,7 +408,7 @@ def run_solver(
 
 
 def _finish(record, config, j, converged, x, objective):
-    f, gn, chosen = (np.array(a) for a in record)
+    f, gn, chosen = (np.frombuffer(a, a.typecode) for a in record)  # no copy
     gaps = None
     if objective.known_minimum is not None:
         gaps = f - objective.known_minimum
@@ -433,7 +436,7 @@ class _Guard:
         self.streak = 0
 
     def check(self, f, k):
-        if not np.isfinite(f):
+        if not isfinite(f):
             raise DivergenceError(
                 f"objective is no longer finite at iteration {k}; "
                 "the step size is too large for this problem"
@@ -441,7 +444,7 @@ class _Guard:
         if f > self.prev:
             self.streak += 1
             if self.streak >= _GUARD_EPOCHS and f > _GUARD_GROWTH * max(
-                abs(self.ref), np.finfo(float).tiny
+                abs(self.ref), _TINY
             ):
                 raise DivergenceError(
                     f"objective rose for {self.streak} consecutive epochs "
@@ -529,7 +532,6 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     contiguous = b1_arr - b0_arr == np.diff(offsets)
     # k = 1 and quadratic fast path
     single = quadratic & (d.k == 1) & contiguous & canonical
-    scal = d.scalars
     general = np.flatnonzero(~single).tolist()
     parts, hloc = [None] * j, [None] * j  # the general branch's basis(i), H_i
     for i in general:
@@ -540,17 +542,19 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         banded = isinstance(h, SpdOperator) and h.is_banded
         if banded:
             dband, eband = h.bands
+            dv, ev = memoryview(dband), memoryview(eband)
         else:
             hdense = h.dense() if isinstance(h, SpdOperator) else np.asarray(h, float)
         hscal, hgal = d.local_energies(h)
+        hscalv = memoryview(hscal)
         for i in general:
             hloc[i] = hgal[i] if i in hgal else np.array([[hscal[i]]])
-    # Narrow k = 1 supports under a banded Hessian take the scalar step,
-    # wider ones update g at the cached nonzeros of H P_i.
-    narrow = single & (b1_arr - b0_arr <= _SCALAR_WIDTH) & banded
-    wide = single & banded & ~narrow
-    if wide.any():
+    # Each subspace's step: k = 1 takes the scalar step (1) if narrow, else
+    # the stencil step (2) under a banded H, the slice step (3) if not.
+    branch = single * (1 + (b1_arr - b0_arr > _SCALAR_WIDTH) if banded else 3)
+    if (branch == 2).any():
         aoff, arows, avals = d.applied(h)
+        aoffv, arowv, avalv = map(memoryview, (aoff, arows, avals))
 
     g = objective.gradient(x)
     f = objective.value(x)
@@ -561,15 +565,19 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     gn2 = slack = float(g @ g)
     threshold = config.tolerance * sqrt(gn2)
     thr2 = threshold * threshold
-    tau = 4.0 * (n + j) * np.finfo(float).eps
+    tau = 4.0 * (n + j) * _EPS
     fs, gns, chosen = record = array("d"), array("d"), array("q")
     guard = _Guard(f)
     # Zero scratch vector: the update is scattered into it on the
     # support and cleared again after the window product.
     w = np.zeros(n)
+    # Views for single entries (see the module docstring).
+    gv, xv, branchv, alphav, canonv = map(memoryview, (g, x, branch, alpha, canonical))
+    b0v, b1v, offv, valv, scalv = map(memoryview, (b0_arr, b1_arr, offsets, vals, d.scalars))
 
     k = 0
     converged = False
+    max_iterations = config.max_iterations
     next_index = sampler.next_index
     while True:
         if gn2 <= thr2 + tau * (slack + thr2):
@@ -584,45 +592,46 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                     f = objective.value(x)
         fs.append(f)
         gns.append(sqrt(gn2))
-        if converged or k >= config.max_iterations:
+        if converged or k >= max_iterations:
             break
         i = next_index()
         chosen.append(i)
-        if narrow.item(i):
+        step = branchv[i]
+        if step == 1:
             # The slice path's arithmetic on Python floats: g_i summed left
             # to right, then g_r += (d_r w_r + e_r w_{r+1}) + e_{r-1} w_{r-1}
             # for r = b-1..b1, with w = c * col on the support, 0 off it.
-            b, b1 = b0_arr.item(i), b1_arr.item(i)
-            o = offsets.item(i) - b  # the column at r is vals[o + r]
-            gi = vals.item(o + b) * g.item(b)
+            b, b1 = b0v[i], b1v[i]
+            o = offv[i] - b  # the column at r is vals[o + r]
+            gi = valv[o + b] * gv[b]
             for r in range(b + 1, b1):
-                gi += vals.item(o + r) * g.item(r)
-            c = alpha.item(i) * (-gi / scal.item(i))
-            f += c * gi + 0.5 * c * c * hscal.item(i)
+                gi += valv[o + r] * gv[r]
+            c = alphav[i] * (-gi / scalv[i])
+            f += c * gi + 0.5 * c * c * hscalv[i]
             el = wl = wc = s_old = s_new = 0.0
-            wr = c * vals.item(o + b)
+            wr = c * valv[o + b]
             for r in range(b - 1, b1 + 1):
-                er = eband.item(r) if 0 <= r < n - 1 else 0.0
+                er = ev[r] if 0 <= r < n - 1 else 0.0
                 if 0 <= r < n:
-                    old = g.item(r)
-                    g[r] = new = old + ((dband.item(r) * wc + er * wr) + el * wl)
+                    old = gv[r]
+                    gv[r] = new = old + ((dv[r] * wc + er * wr) + el * wl)
                     s_old += old * old
                     s_new += new * new
                     if b <= r < b1:
-                        x[r] = x.item(r) + wc
+                        xv[r] += wc
                 el, wl, wc = er, wc, wr
-                wr = c * vals.item(o + r + 2) if r + 2 < b1 else 0.0
+                wr = c * valv[o + r + 2] if r + 2 < b1 else 0.0
             gn2 += s_new - s_old
             slack += s_new + s_old
-        elif wide.item(i):
+        elif step == 2:
             # The slice path's g_i, x and f, then g += c H P_i at its
             # nonzeros: row by row, or as one scatter for long stencils.
-            b, b1, p, p1 = b0_arr.item(i), b1_arr.item(i), aoff.item(i), aoff.item(i + 1)
-            col = vals[offsets.item(i) : offsets.item(i + 1)]
+            b, b1, p, p1 = b0v[i], b1v[i], aoffv[i], aoffv[i + 1]
+            col = vals[offv[i] : offv[i + 1]]
             gi = float(col @ g[b:b1])
-            c = alpha.item(i) * (-gi / scal.item(i))
+            c = alphav[i] * (-gi / scalv[i])
             x[b:b1] += c * col
-            f += c * gi + 0.5 * c * c * hscal.item(i)
+            f += c * gi + 0.5 * c * c * hscalv[i]
             if p1 - p > _STENCIL_LOOP:
                 at = arows[p:p1]
                 old = g[at]
@@ -631,9 +640,9 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             else:
                 s_old = s_new = 0.0
                 for t in range(p, p1):
-                    r = arows.item(t)
-                    old = g.item(r)
-                    g[r] = new = old + c * avals.item(t)
+                    r = arowv[t]
+                    old = gv[r]
+                    gv[r] = new = old + c * avalv[t]
                     s_old += old * old
                     s_new += new * new
             gn2 += s_new - s_old
@@ -641,17 +650,17 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         else:
             # Each branch yields the support selector ``at``, the update
             # ``dx`` on it and (for quadratics) the change ``df`` in f.
-            if single[i]:
-                at = slice(b0_arr[i], b1_arr[i])
-                col = vals[offsets[i] : offsets[i + 1]]
+            if step == 3:
+                at = slice(b0v[i], b1v[i])
+                col = vals[offv[i] : offv[i + 1]]
                 gi = float(col @ g[at])
-                c = alpha[i] * (-gi / scal[i])
+                c = alphav[i] * (-gi / scalv[i])
                 dx = c * col
-                df = c * gi + 0.5 * c * c * hscal[i]
+                df = c * gi + 0.5 * c * c * hscalv[i]
             else:
                 at, basis = parts[i]
                 gi = basis.T @ g[at]
-                if canonical[i]:
+                if canonv[i]:
                     sloc = _solve_local(d, i, np.negative(gi))
                 else:
                     loc = local_objectives[i]
@@ -659,7 +668,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                     if projections is not None and projections[i] is not None:
                         q = np.atleast_1d(np.asarray(projections[i](x), dtype=float))
                     sloc = solve_local_stationarity(loc, loc.gradient(q) - gi, q) - q
-                delta = alpha[i] * sloc
+                delta = alphav[i] * sloc
                 dx = basis @ delta
                 if quadratic:
                     df = float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
@@ -670,7 +679,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             elif banded:
                 # g += H P_i delta as a window product
                 f += df
-                lo, hi1 = max(b0_arr[i] - 1, 0), min(b1_arr[i], n - 1) + 1
+                lo, hi1 = max(b0v[i] - 1, 0), min(b1v[i], n - 1) + 1
                 w[at] = dx
                 win = w[lo:hi1]
                 prod = dband[lo:hi1] * win

@@ -3,11 +3,13 @@ import importlib
 import json
 import os
 import pkgutil
+import weakref
 
 import numpy as np
 import pytest
 
 import subspace_descent
+from subspace_descent import experiments
 from subspace_descent.cli import build_parser, main
 from subspace_descent.experiments import (
     ExperimentSpec,
@@ -20,6 +22,7 @@ from subspace_descent.experiments import (
 )
 from subspace_descent.objectives import nesterov_matrix_form, save_quadratic_problem
 from subspace_descent.objectives import QuadraticObjective
+from subspace_descent.solvers import run_solver
 
 SUMMARY_HEADER = "N,J,method,sampler,mean_iter,mean_epoch,converged_frac,seconds"
 
@@ -46,6 +49,23 @@ class TestRunExperiment:
     def test_trial_seeds_are_consecutive(self):
         s = run_experiment(tiny_spec(trials=4, seed=100), keep_traces=True)
         assert [t.seed for t in s.traces] == [100, 101, 102, 103]
+
+    def test_traces_dropped_after_their_trial(self, monkeypatch):
+        # without keep_traces or trace_dir no trial's trace outlives it
+        refs = []
+
+        def spy(config, *args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            trace = run_solver(config, *args, **kwargs)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        kept = run_experiment(tiny_spec(trials=3), keep_traces=True)
+        monkeypatch.setattr(experiments, "run_solver", spy)
+        s = run_experiment(tiny_spec(trials=3))
+        assert len(refs) == 3 and s.traces is None
+        assert s.iterations == [t.iteration_count for t in kept.traces]
+        assert s.converged == [t.converged for t in kept.traces]
 
     def test_trials_with_same_seed_in_ensemble_differ(self):
         s = run_experiment(tiny_spec(trials=6))

@@ -116,6 +116,15 @@ class TestBookkeeping:
         assert s.draw_count == 10
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_draw_count_across_batches(self, kind):
+        s = make_sampler(kind, size=7, lipschitz=np.arange(1.0, 8.0), seed=2)
+        total = 0
+        for chunk in (1, 6, 1016, 1, 1024, 1, 3000):
+            draws(s, chunk)
+            total += chunk
+            assert s.draw_count == total
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_generator_shares_the_stream(self, kind):
         lip = np.arange(1.0, 8.0)
         a = make_sampler(kind, size=7, lipschitz=lip, seed=4)

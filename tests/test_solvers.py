@@ -404,6 +404,19 @@ class TestRunTrace:
             obj.value(np.ones(7)) - obj.known_minimum, rel=1e-12
         )
 
+    def test_empty_run(self, tmp_path):
+        obj = nesterov_worst(7)
+        d = multilevel_nodal_decomposition(3)
+        tr = run_solver(SolverConfig(method="rfasd", max_iterations=0), obj, d)
+        assert tr.iteration_count == 0 and not tr.converged
+        assert tr.chosen.dtype == np.int64 and tr.chosen.shape == (0,)
+        assert tr.objective_values.dtype == tr.gradient_norms.dtype == np.float64
+        assert tr.objective_values.tolist() == [obj.value(np.ones(7))]
+        assert tr.gradient_norms.tolist() == [np.linalg.norm(obj.gradient(np.ones(7)))]
+        tr.write_csv(str(tmp_path / "t.csv"))
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].split(",")[:2] == ["0", "-1"]
+
     def test_gap_column_empty_without_known_minimum(self, tmp_path):
         rng = np.random.default_rng(4)
         w = rng.standard_normal((5, 5))
