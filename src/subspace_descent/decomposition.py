@@ -59,6 +59,23 @@ def _galerkin(m, support, basis):
     return basis.T @ m[np.ix_(support, support)] @ basis
 
 
+def _banded_rows(m, support, basis, at):
+    """``(at, rows, vals)``: the nonzero rows of the banded ``M P`` for
+    P = basis on support, laid out as a basis (zeros in those rows kept),
+    all behind entry ``at``; row r is
+    ``(d_r p_r + e_r p_{r+1}) + e_{r-1} p_{r-1}``."""
+    d, e = m.bands
+    lo, hi = max(support[0] - 1, 0), min(support[-1] + 2, d.size)
+    w = np.zeros((hi - lo, basis.shape[1]))
+    w[support - lo] = basis
+    out = d[lo:hi, None] * w
+    out[:-1] += e[lo : hi - 1, None] * w[1:]
+    out[1:] += e[lo : hi - 1, None] * w[:-1]
+    keep = np.flatnonzero(out.any(axis=1))
+    vals = out[keep].ravel()
+    return np.full(vals.size, at), np.repeat(keep + lo, w.shape[1]), vals
+
+
 def _columns(offsets, k):
     """Column of each entry within its support row (all 0 where k = 1)."""
     sizes = np.diff(offsets)
@@ -207,13 +224,17 @@ class Decomposition:
         return self._energies[1]
 
     def applied(self, operator):
-        """``(offsets, rows, vals)``: the nonzeros of each k = 1 ``M P_i``.
+        """``(offsets, rows, vals)``: the nonzero rows of every ``M P_i``.
 
-        Flat CSR arrays for tridiagonal M, rows increasing within each
-        subspace: the nonzeros of the pass's ``M v_i`` on the support, plus
+        Flat CSR arrays for tridiagonal M in the layout of ``offsets``,
+        ``rows`` and ``vals``: rows increasing within each subspace, each
+        row k[i] times in a row with its k values.  A k = 1 subspace gets
+        the nonzeros of the pass's ``M v_i`` on the support, plus
         ``e_{b-1} v_b`` at b - 1 and ``e_{b1-1} v_{b1-1}`` at b1 around
-        each run [b, b1) of consecutive support rows.  Blocks get none.
-        Built on first use, then cached with the pass it reads.
+        each run [b, b1) of consecutive support rows; a block gets every
+        row of its ``M P_i`` with a nonzero, zeros in it kept, from one
+        window product per block.  Built on first use, then cached with
+        the pass it reads.
         """
         cached = self._energies
         if cached is None or cached[0] is not operator:
@@ -225,7 +246,7 @@ class Decomposition:
             (inner, vals), rows = cached[2], self.rows
             e = np.concatenate(([0.0], operator.bands[1], [0.0]))  # e[r] = e_{r-1}
             cut = np.flatnonzero(~self._pair)  # runs of consecutive rows: lo..hi
-            lo, hi = np.append(0, cut + 1), np.append(cut, rows.size - 1)
+            lo, hi = np.concatenate(([0], cut + 1)), np.concatenate((cut, [rows.size - 1]))
             # the entry behind each candidate: rows r - 1 of every lo, r of
             # every nonzero of inner, r + 1 of every hi; a stable sort on
             # entries puts them in row order
@@ -236,9 +257,23 @@ class Decomposition:
             val[:m] *= e[row[:m] + 1]
             val[m:-m] = inner[at[m:-m]]
             val[-m:] *= e[row[-m:]]
+            offsets = self.offsets
+            # a run's b1 that is the next run's b - 1, in one support: one entry
+            t = np.flatnonzero(row[1:m] == row[-m:-1])
+            if t.size:
+                t = t[offsets[np.searchsorted(offsets, lo[t + 1])] != lo[t + 1]]
+                val[-m:][t] += val[t + 1]
+                val[t + 1] = 0.0
+            nonzero = val != 0.0
+            if self.blocks:  # each block's entries, zeros too, behind its first
+                blocks = (
+                    _banded_rows(operator, *self.basis(i), offsets[i]) for i in self.blocks
+                )
+                at, row, val = (np.concatenate(a) for a in zip((at, row, val), *blocks))
+                nonzero = np.append(nonzero, np.ones(val.size - nonzero.size, bool))
             keep = np.argsort(at, kind="stable")
-            keep = keep[val[keep] != 0.0]
-            at = np.searchsorted(at[keep], self.offsets)
+            keep = keep[nonzero[keep]]
+            at = np.searchsorted(at[keep], offsets)
             cached[2:] = None, tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
         return cached[3]
 

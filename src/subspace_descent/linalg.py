@@ -125,9 +125,13 @@ class SpdOperator:
 
     @classmethod
     def identity(cls, n):
+        """The n-by-n identity, banded; its Cholesky factor is itself."""
         if n < 1:
             raise ValueError("dimension must be positive")
-        return cls.tridiagonal(np.ones(n), np.zeros(max(n - 1, 0)))
+        eye = cls.__new__(cls)
+        eye._dense, eye._diag, eye._off = None, np.ones(n), np.zeros(n - 1)
+        eye._factor = np.array([np.zeros(n), np.ones(n)], order="F")  # as LAPACK's
+        return eye
 
     def _cholesky_dense(self, m):
         try:
@@ -381,10 +385,13 @@ def spd_solve(a, b):
 def extreme_eigenvalues(m, metric=None, dense_limit=DENSE_EIG_LIMIT):
     """Smallest and largest eigenvalue of a symmetric matrix or pencil.
 
-    With ``metric`` A, those of ``m x = lambda A x``.  Banded operators
-    (and a pencil of two, n >= 3) have banded paths without a size limit;
-    otherwise a dense eigensolve, refused beyond ``dense_limit``.
+    With ``metric`` A, those of ``m x = lambda A x``: exactly (1, 1) when
+    ``m`` is ``metric``.  Banded operators (and a pencil of two, n >= 3)
+    have banded paths without a size limit; otherwise a dense
+    eigensolve, refused beyond ``dense_limit``.
     """
+    if m is metric:
+        return 1.0, 1.0
     if metric is None and isinstance(m, SpdOperator):
         return m.extreme_eigenvalues()
     if metric is not None and np.shape(metric) != np.shape(m):

@@ -26,12 +26,14 @@ Methods
     the other subspaces solve the stationarity equation.
 
 For quadratic objectives the gradient and objective value are carried
-incrementally (one rank-k update through the Hessian per step).  Under
-a banded Hessian so is ``||g||^2``, which makes a step O(support size):
-k = 1 supports at most ``_SCALAR_WIDTH`` wide take the step on Python
-floats, wider ones take one dot over the support and update g only at
-the nnz(H P_i) cached nonzeros of ``Decomposition.applied`` (3 for a
-multilevel hat), and blocks use a (width + 2)-row window.  The carried
+incrementally.  A step adds c P_i (a canonical contiguous k = 1
+support, whose g_i and x take Python floats up to ``_SCALAR_WIDTH``
+entries and one dot beyond) or P_i delta (blocks, other supports,
+non-canonical ``rfas`` steps) to x, and g moves by the same multiple
+of H P_i.  Under a banded Hessian that is one rule for every subspace:
+g changes only at the nnz(H P_i) cached nonzeros of
+``Decomposition.applied`` (3 for a multilevel hat), and ``||g||^2`` is
+carried too, which makes a step O(support size).  The carried
 norm is set exactly from g at every epoch boundary, and the stopping
 test uses the exact norm whenever the carried one is within its
 rounding bound of the threshold.  A run stops as converged only if the
@@ -81,10 +83,10 @@ _GUARD_EPOCHS = 10
 _GUARD_GROWTH = 1e3
 _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 
-# Widest k = 1 support that takes the scalar step under a banded Hessian.
+# Widest k = 1 support whose g_i and x are summed and updated on floats.
 _SCALAR_WIDTH = 3
-# Most nonzeros of H P_i that a wider k = 1 step updates one at a time;
-# longer stencils are applied as one gather / add / scatter.
+# Most nonzeros of H P_i that a scalar step updates one at a time; longer
+# stencils, and every P_i delta step, take one gather / add / scatter.
 _STENCIL_LOOP = 10
 
 
@@ -332,8 +334,6 @@ def _full_space_setup(config, objective, decomposition):
     h = objective.hessian if objective.hessian is not None else objective.hessian_matrix
     if method == "gd":
         return None, 1.0 / extreme_eigenvalues(h)[1]
-    if objective.hessian is precond:
-        return precond, 1.0
     return precond, 1.0 / extreme_eigenvalues(h, precond)[1]
 
 
@@ -530,31 +530,22 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     b0_arr = d.rows[offsets[:-1]]  # support start
     b1_arr = d.rows[offsets[1:] - 1] + 1  # support end + 1
     contiguous = b1_arr - b0_arr == np.diff(offsets)
-    # k = 1 and quadratic fast path
-    single = quadratic & (d.k == 1) & contiguous & canonical
-    general = np.flatnonzero(~single).tolist()
-    parts, hloc = [None] * j, [None] * j  # the general branch's basis(i), H_i
-    for i in general:
-        parts[i] = d.basis(i)
+    # The steps that add a scalar c: k = 1, quadratic, contiguous, canonical.
+    scalar = quadratic & (d.k == 1) & contiguous & canonical
+    general = np.flatnonzero(~scalar).tolist()
+    parts = {i: d.basis(i) for i in general}  # the general branch's basis(i)
     banded = False
     if quadratic:
         h = objective.hessian_matrix
         banded = isinstance(h, SpdOperator) and h.is_banded
         if banded:
-            dband, eband = h.bands
-            dv, ev = memoryview(dband), memoryview(eband)
+            aoff, arows, avals = d.applied(h)
+            aoffv, arowv, avalv = map(memoryview, (aoff, arows, avals))
         else:
             hdense = h.dense() if isinstance(h, SpdOperator) else np.asarray(h, float)
         hscal, hgal = d.local_energies(h)
         hscalv = memoryview(hscal)
-        for i in general:
-            hloc[i] = hgal[i] if i in hgal else np.array([[hscal[i]]])
-    # Each subspace's step: k = 1 takes the scalar step (1) if narrow, else
-    # the stencil step (2) under a banded H, the slice step (3) if not.
-    branch = single * (1 + (b1_arr - b0_arr > _SCALAR_WIDTH) if banded else 3)
-    if (branch == 2).any():
-        aoff, arows, avals = d.applied(h)
-        aoffv, arowv, avalv = map(memoryview, (aoff, arows, avals))
+        hloc = {i: hgal[i] if i in hgal else np.array([[hscal[i]]]) for i in general}
 
     g = objective.gradient(x)
     f = objective.value(x)
@@ -568,12 +559,10 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     tau = 4.0 * (n + j) * _EPS
     fs, gns, chosen = record = array("d"), array("d"), array("q")
     guard = _Guard(f)
-    # Zero scratch vector: the update is scattered into it on the
-    # support and cleared again after the window product.
-    w = np.zeros(n)
     # Views for single entries (see the module docstring).
-    gv, xv, branchv, alphav, canonv = map(memoryview, (g, x, branch, alpha, canonical))
+    gv, xv, scalarv, alphav, canonv = map(memoryview, (g, x, scalar, alpha, canonical))
     b0v, b1v, offv, valv, scalv = map(memoryview, (b0_arr, b1_arr, offsets, vals, d.scalars))
+    kv = memoryview(d.k)
 
     k = 0
     converged = False
@@ -596,48 +585,47 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             break
         i = next_index()
         chosen.append(i)
-        step = branchv[i]
-        if step == 1:
-            # The slice path's arithmetic on Python floats: g_i summed left
-            # to right, then g_r += (d_r w_r + e_r w_{r+1}) + e_{r-1} w_{r-1}
-            # for r = b-1..b1, with w = c * col on the support, 0 off it.
-            b, b1 = b0v[i], b1v[i]
-            o = offv[i] - b  # the column at r is vals[o + r]
-            gi = valv[o + b] * gv[b]
-            for r in range(b + 1, b1):
-                gi += valv[o + r] * gv[r]
-            c = alphav[i] * (-gi / scalv[i])
-            f += c * gi + 0.5 * c * c * hscalv[i]
-            el = wl = wc = s_old = s_new = 0.0
-            wr = c * valv[o + b]
-            for r in range(b - 1, b1 + 1):
-                er = ev[r] if 0 <= r < n - 1 else 0.0
-                if 0 <= r < n:
-                    old = gv[r]
-                    gv[r] = new = old + ((dv[r] * wc + er * wr) + el * wl)
-                    s_old += old * old
-                    s_new += new * new
-                    if b <= r < b1:
-                        xv[r] += wc
-                el, wl, wc = er, wc, wr
-                wr = c * valv[o + r + 2] if r + 2 < b1 else 0.0
-            gn2 += s_new - s_old
-            slack += s_new + s_old
-        elif step == 2:
-            # The slice path's g_i, x and f, then g += c H P_i at its
-            # nonzeros: row by row, or as one scatter for long stencils.
-            b, b1, p, p1 = b0v[i], b1v[i], aoffv[i], aoffv[i + 1]
-            col = vals[offv[i] : offv[i + 1]]
-            gi = float(col @ g[b:b1])
-            c = alphav[i] * (-gi / scalv[i])
-            x[b:b1] += c * col
-            f += c * gi + 0.5 * c * c * hscalv[i]
-            if p1 - p > _STENCIL_LOOP:
-                at = arows[p:p1]
-                old = g[at]
-                g[at] = new = old + c * avals[p:p1]
-                s_old, s_new = float(old @ old), float(new @ new)
+        # What to add to x: c P_i, or P_i delta.
+        scalar_i = scalarv[i]
+        if scalar_i:
+            # g_i over the support [b, b1): summed left to right on floats
+            # while narrow, one dot when wider; x moves the same way.
+            b, b1, o = b0v[i], b1v[i], offv[i]
+            if b1 - b <= _SCALAR_WIDTH:
+                gi = valv[o] * gv[b]
+                for t in range(1, b1 - b):
+                    gi += valv[o + t] * gv[b + t]
+                c = alphav[i] * (-gi / scalv[i])
+                for t in range(b1 - b):
+                    xv[b + t] += c * valv[o + t]
             else:
+                col = vals[o : offv[i + 1]]
+                gi = float(col @ g[b:b1])
+                c = alphav[i] * (-gi / scalv[i])
+                x[b:b1] += c * col
+            f += c * gi + 0.5 * c * c * hscalv[i]
+        else:
+            at, basis = parts[i]
+            gi = basis.T @ g[at]
+            if canonv[i]:
+                sloc = _solve_local(d, i, np.negative(gi))
+            else:
+                loc = local_objectives[i]
+                q = np.zeros(basis.shape[1])
+                if projections is not None and projections[i] is not None:
+                    q = np.atleast_1d(np.asarray(projections[i](x), dtype=float))
+                sloc = solve_local_stationarity(loc, loc.gradient(q) - gi, q) - q
+            delta = alphav[i] * sloc
+            dx = basis @ delta
+            x[at] += dx
+            if quadratic:
+                f += float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
+        # How g moves: by that times H P_i.
+        if banded:
+            # at the cached nonzeros of H P_i: row by row on floats for a
+            # short stencil and a scalar c, else as one gather / add / scatter
+            p, p1 = aoffv[i], aoffv[i + 1]
+            if scalar_i and p1 - p <= _STENCIL_LOOP:
                 s_old = s_new = 0.0
                 for t in range(p, p1):
                     r = arowv[t]
@@ -645,57 +633,24 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                     gv[r] = new = old + c * avalv[t]
                     s_old += old * old
                     s_new += new * new
+            else:
+                at = arows[p:p1:kv[i]]
+                old = g[at]
+                if scalar_i:
+                    g[at] = new = old + c * avals[p:p1]
+                else:
+                    g[at] = new = old + avals[p:p1].reshape(at.size, -1) @ delta
+                s_old, s_new = float(old @ old), float(new @ new)
             gn2 += s_new - s_old
             slack += s_new + s_old
+        elif quadratic:  # dense H
+            if scalar_i:
+                at, dx = slice(b, b1), c * vals[o : offv[i + 1]]
+            g += hdense[:, at] @ dx
+            gn2 = float(g @ g)
         else:
-            # Each branch yields the support selector ``at``, the update
-            # ``dx`` on it and (for quadratics) the change ``df`` in f.
-            if step == 3:
-                at = slice(b0v[i], b1v[i])
-                col = vals[offv[i] : offv[i + 1]]
-                gi = float(col @ g[at])
-                c = alphav[i] * (-gi / scalv[i])
-                dx = c * col
-                df = c * gi + 0.5 * c * c * hscalv[i]
-            else:
-                at, basis = parts[i]
-                gi = basis.T @ g[at]
-                if canonv[i]:
-                    sloc = _solve_local(d, i, np.negative(gi))
-                else:
-                    loc = local_objectives[i]
-                    q = np.zeros(basis.shape[1])
-                    if projections is not None and projections[i] is not None:
-                        q = np.atleast_1d(np.asarray(projections[i](x), dtype=float))
-                    sloc = solve_local_stationarity(loc, loc.gradient(q) - gi, q) - q
-                delta = alphav[i] * sloc
-                dx = basis @ delta
-                if quadratic:
-                    df = float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
-            x[at] += dx
-            if not quadratic:
-                g, f = objective.gradient(x), objective.value(x)
-                gn2 = float(g @ g)
-            elif banded:
-                # g += H P_i delta as a window product
-                f += df
-                lo, hi1 = max(b0v[i] - 1, 0), min(b1v[i], n - 1) + 1
-                w[at] = dx
-                win = w[lo:hi1]
-                prod = dband[lo:hi1] * win
-                prod[:-1] += eband[lo : hi1 - 1] * win[1:]
-                prod[1:] += eband[lo : hi1 - 1] * win[:-1]
-                gw = g[lo:hi1]
-                s_old = float(gw @ gw)
-                gw += prod
-                s_new = float(gw @ gw)
-                gn2 += s_new - s_old
-                slack += s_new + s_old
-                w[at] = 0.0
-            else:
-                f += df
-                g += hdense[:, at] @ dx  # g += H P_i delta, dense H
-                gn2 = float(g @ g)
+            g, f = objective.gradient(x), objective.value(x)
+            gn2 = float(g @ g)
         k += 1
         if k % j == 0:
             guard.check(f, k)

@@ -23,6 +23,7 @@ from subspace_descent.decomposition import (
     with_local_lipschitz,
     with_quadratic_lipschitz,
 )
+from subspace_descent.experiments import ExperimentSpec, build_problem
 from subspace_descent.linalg import SpdOperator, a_norm, dirichlet_laplacian
 from subspace_descent.objectives import (
     Objective,
@@ -71,8 +72,10 @@ class TestMetricConstants:
 
     def test_dense_limit(self):
         a = SpdOperator.from_dense(dirichlet_laplacian(8).dense())
+        h = SpdOperator.from_dense(a.dense())  # an operator that is not a
         with pytest.raises(ValueError):
-            quadratic_metric_constants(a, a, dense_limit=4)
+            quadratic_metric_constants(h, a, dense_limit=4)
+        assert quadratic_metric_constants(a, a, dense_limit=4) == (1.0, 1.0)
 
     def test_banded_constants_past_the_dense_limit(self):
         # level 13: H and A equal as matrices, held as two banded operators
@@ -81,6 +84,13 @@ class TestMetricConstants:
         mu, big_l = quadratic_metric_constants(h, a)
         assert abs(mu - 1.0) <= 1e-10 and abs(big_l - 1.0) <= 1e-10
         assert quadratic_metric_constants(h, a) == (mu, big_l)
+
+    @pytest.mark.parametrize("level", [13, 16])
+    def test_shared_metric_gives_exactly_one(self, level):
+        # the built-in problem with L = 2 uses its Hessian as the metric
+        obj, d = build_problem(ExperimentSpec(level=level))
+        assert d.preconditioner is obj.hessian
+        assert quadratic_metric_constants(obj.hessian, d.preconditioner) == (1.0, 1.0)
 
 
 class TestLinearRateBound:

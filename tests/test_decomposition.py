@@ -453,13 +453,12 @@ def random_tridiagonal(n, seed):
     return SpdOperator.tridiagonal(2.0 + rng.random(n), off)
 
 
-def scattered(d, applied, i):
-    """``M P_i`` of subspace i (k = 1) as a full vector, from ``applied``."""
+def applied_rows(d, applied, i):
+    """Rows and (rows, k) values of subspace i's ``M P_i`` in ``applied``."""
     offsets, rows, vals = applied
-    out = np.zeros(d.ambient_dimension)
-    at = slice(offsets[i], offsets[i + 1])
-    np.add.at(out, rows[at], vals[at])
-    return out
+    k, at = int(d.k[i]), slice(offsets[i], offsets[i + 1])
+    assert rows[at].tolist() == np.repeat(rows[at][::k], k).tolist()
+    return rows[at][::k], vals[at].reshape(-1, k)
 
 
 class TestAppliedBasis:
@@ -482,6 +481,20 @@ class TestAppliedBasis:
             offsets = d.applied(nesterov_worst(2**level - 1).hessian)[0]
             assert offsets[-1] <= 3 * len(d) and np.diff(offsets).max() <= 3
 
+    def test_blocks_and_gaps_match_dense_stencil(self):
+        # the mixed family's k = 2 bases and its support {0, 3, 5}, whose
+        # runs {3} and {5} share row 4: every nonzero row once, in order
+        d = mixed_family()
+        h = nesterov_worst(7).hessian
+        applied = d.applied(h)
+        for i in [*d.blocks, len(d) - 1]:
+            product = h.dense() @ prolongation(d, i)
+            rows, vals = applied_rows(d, applied, i)
+            nonzero = np.flatnonzero(product.any(axis=1))
+            assert rows.tolist() == nonzero.tolist()
+            assert vals.tolist() == product[nonzero].tolist()
+        assert applied_rows(d, applied, len(d) - 1)[0].tolist() == list(range(7))
+
     @pytest.mark.parametrize("family", ["hats", "mixed"])
     def test_random_tridiagonal_matches_matvec(self, family):
         d = multilevel_nodal_decomposition(6) if family == "hats" else mixed_family()
@@ -492,12 +505,13 @@ class TestAppliedBasis:
         if family == "hats":  # non-dyadic: the interior entries are kept
             assert np.diff(applied[0]).max() == 63  # the whole-domain hat
         for i in range(len(d)):
-            if i in d.blocks:
-                assert applied[0][i] == applied[0][i + 1]
-                continue
-            v = prolongation(d, i)[:, 0]
-            err = np.abs(scattered(d, applied, i) - h.matvec(v)).max()
-            assert err <= bound * np.linalg.norm(v)
+            p = prolongation(d, i)
+            rows, vals = applied_rows(d, applied, i)
+            product = np.zeros_like(p)
+            product[rows] = vals
+            assert np.all(np.diff(rows) > 0)
+            err = np.abs(product - h.dense() @ p).max()
+            assert err <= bound * np.linalg.norm(p, 2)
 
     def test_cached_with_the_energies(self):
         d = mixed_family()

@@ -308,6 +308,18 @@ class TestSpdOperatorStorage:
         a = dirichlet_laplacian(4, scale=3.0)
         assert_allclose(a.diagonal(), 6.0 * np.ones(4), rtol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 63])
+    def test_identity_equals_the_lapack_factor(self, n):
+        eye = SpdOperator.identity(n)
+        factored = SpdOperator.tridiagonal(np.ones(n), np.zeros(n - 1))
+        assert eye._factor.tobytes() == factored._factor.tobytes()
+        assert eye._factor.flags.f_contiguous == factored._factor.flags.f_contiguous
+        assert eye.bands[0].tolist() == [1.0] * n and eye.bands[1].tolist() == [0.0] * (n - 1)
+        b = np.random.default_rng(n).standard_normal(n)
+        assert eye.solve(b).tobytes() == factored.solve(b).tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            SpdOperator.identity(0)
+
     def test_dimension_checks(self):
         a = dirichlet_laplacian(4)
         with pytest.raises(DimensionMismatchError):

@@ -237,9 +237,17 @@ class TestRunSolver:
             assert np.array_equal(x_next[off], x[off])
             x = x_next
 
-    @pytest.mark.parametrize("hessian", ["banded", "dense"])
-    def test_replay_mixed_decomposition(self, hessian):
-        # hats, k = 2 bases and a non-contiguous subspace in one family
+    @pytest.mark.parametrize(
+        "hessian, method",
+        [
+            pytest.param(h, m, id=h if m == "rfasd" else f"{h}-{m}")
+            for m in ("rfasd", "rbcd3", "rfas")
+            for h in ("banded", "dense")
+        ],
+    )
+    def test_replay_mixed_decomposition(self, hessian, method):
+        # hats, k = 2 bases and a non-contiguous subspace in one family;
+        # 3-blocks; or the family with one non-canonical rfas local
         if hessian == "banded":
             obj = nesterov_worst(7)
         else:
@@ -247,13 +255,21 @@ class TestRunSolver:
             h = SpdOperator.from_dense(m @ m.T + 7.0 * np.eye(7))
             obj = QuadraticObjective(h, np.arange(7.0))
         assert obj.hessian.is_banded == (hessian == "banded")
-        d = with_quadratic_lipschitz(mixed_family(), obj.hessian)
-        cfg = SolverConfig(method="rfasd", seed=5, max_iterations=200)
-        tr = run_solver(cfg, obj, d)
+        if method == "rbcd3":
+            d = block_decomposition([[0, 1, 2], [3, 4, 5], [6]], SpdOperator.identity(7))
+        else:
+            d = mixed_family()
+        d = with_quadratic_lipschitz(d, obj.hessian)
+        locals_ = [QuadraticEnergyLocal(d, i) for i in range(len(d))]
+        if method == "rfas":  # on the non-contiguous subspace {0, 3, 5}
+            locals_[-1] = QuarticLocal(d.scalars[-1])
+        cfg = SolverConfig(method=method.rstrip("3"), seed=5, max_iterations=200)
+        tr = run_solver(cfg, obj, d, local_objectives=locals_)
         assert set(tr.chosen.tolist()) == set(range(len(d)))
         x, f = np.ones(7), [obj.value(np.ones(7))]
         for i in tr.chosen:
-            x = rfasd_step(x, d, int(i), obj)
+            s = fas_search_direction(x, d, int(i), locals_[i], obj)
+            x = x + (1.0 / d.lipschitz[i]) * s
             f.append(obj.value(x))
         assert_allclose(tr.final_x, x, rtol=1e-12)
         assert_allclose(tr.objective_values, f, rtol=1e-12)
@@ -528,7 +544,7 @@ class TestScalarStepAndStop:
         assert tr.converged
         assert made[0].draw_count == tr.iteration_count > 0
 
-    def test_applied_basis_built_only_for_wide_hats(self, monkeypatch):
+    def test_applied_basis_built_once_per_banded_run(self, monkeypatch):
         calls = []
         build = Decomposition.applied
 
@@ -537,14 +553,16 @@ class TestScalarStepAndStop:
             return build(self, operator)
 
         monkeypatch.setattr(Decomposition, "applied", spy)
-        obj, d = build_problem(ExperimentSpec(level=6, method="rcd", sampler="cyclic"))
-        run_solver(SolverConfig(method="rcd", sampler="cyclic"), obj, d)
         theory_check(ExperimentSpec(level=5), probe_count=10, decay_count=5)
-        assert calls == [] and d._energies[3] is None
-        obj, d = build_problem(ExperimentSpec(level=6))
-        for seed in (0, 1):  # trials share the cached set
-            run_solver(SolverConfig(method="rfasd", seed=seed, max_iterations=5), obj, d)
-        assert calls == [d, d] and d._energies[3] is d.applied(obj.hessian)
+        assert calls == []
+        for method in ("rcd", "rbcd", "rfasd"):
+            obj, d = build_problem(ExperimentSpec(level=6, method=method))
+            assert d._energies[3] is None
+            for seed in (0, 1):  # trials share the cached set
+                cfg = SolverConfig(method=method, seed=seed, max_iterations=5)
+                run_solver(cfg, obj, d)
+            assert calls == [d, d] and d._energies[3] is build(d, obj.hessian)
+            calls.clear()
 
     def test_converged_means_true_gradient_met_tolerance(self):
         obj, d = nesterov_worst(1023), multilevel_nodal_decomposition(10)

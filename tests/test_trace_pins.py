@@ -7,7 +7,8 @@ keep every digest; a change that moves bits on purpose must list what
 moved and re-record the digests.
 
 The digests are platform-specific: the dots over wide multilevel hats
-(``col @ g[b:b1]``) and the block solves go through numpy's BLAS, whose
+(``col @ g[b:b1]``), the block solves and the block updates of g
+(``(H P_i) @ delta``) go through numpy's BLAS, whose
 summation order depends on its build and on the CPU kernel it picks.
 They were recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
 """
@@ -120,52 +121,52 @@ PINS = {
         4000, "ff396c4f114526a8 b5e3d0f2e89c9327 05f703d93edee75b c1050e3ddb8c8e57"
     ),
     ("rfasd-l6", "uniform", 0): (
-        2200, "b850c1a918308012 41b6534f11cc1882 1c14345a60566184 e21d9bef9479b4f0"
+        2200, "b850c1a918308012 bb39ea1ea17c5998 1c14345a60566184 79665baf63f0641a"
     ),
     ("rfasd-l6", "uniform", 42): (
-        1924, "f39da1924ca389b9 4ae7e955a741a6c9 58623f5fc9080ba1 13965aa810450b25"
+        1924, "f39da1924ca389b9 fbde376068aa5037 58623f5fc9080ba1 fa5987d231730e51"
     ),
     ("rfasd-l6", "proportional", 0): (
-        1639, "f1ffccbda36a6fb9 3fa13a948fdabba6 a27c792522ffb5b3 2d1521c39cc02a46"
+        1639, "f1ffccbda36a6fb9 52054615f1781c86 a27c792522ffb5b3 8d7c0f30089dea6f"
     ),
     ("rfasd-l6", "proportional", 42): (
-        2026, "8f3d28c0ff5f9ccc 10b007c23129b4e9 27f2d4b21d94385f e5bbe11fb439a803"
+        2026, "8f3d28c0ff5f9ccc bd171d179c6569fc 27f2d4b21d94385f 49056d0193964086"
     ),
     ("rfasd-l6", "permutation", 0): (
-        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d 0b01dd529781f22d"
+        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d a12ea12634e9e0c0"
     ),
     ("rfasd-l6", "permutation", 42): (
-        937, "9a599f5fc743ccd9 777fc38b66963aca 4cd7b31ac2d9de78 ac3943708533f4bd"
+        937, "9a599f5fc743ccd9 61fabbed87be6a4a 4cd7b31ac2d9de78 3f2afda3ff233118"
     ),
     ("rfasd-l6", "cyclic", 0): (
-        1101, "3775eac36ed60e07 6a895c1a510599c1 ef306fa89e8ebd3e 4c173959706ac211"
+        1101, "3775eac36ed60e07 fb7e7939a53feaea ef306fa89e8ebd3e 60e5447da4f384a0"
     ),
     ("rfasd-l6", "cyclic", 42): (
-        1101, "3775eac36ed60e07 6a895c1a510599c1 ef306fa89e8ebd3e 4c173959706ac211"
+        1101, "3775eac36ed60e07 fb7e7939a53feaea ef306fa89e8ebd3e 60e5447da4f384a0"
     ),
     ("rfasd-l6-tridiagonal", "uniform", 0): (
-        1919, "3738fe78477f9084 5f35856b998f2754 bdd66ed5d52715cb a6b883b42035736c"
+        1919, "3738fe78477f9084 eb1dbb836fb4a685 130cca06ab1afadf c84b1aadaf2c4a76"
     ),
     ("rfasd-l6-tridiagonal", "uniform", 42): (
-        1857, "64b76d83e599cafd 7a01a21ba33bfc31 8c79813840e568c9 7b55ddbc8152a57d"
+        1857, "64b76d83e599cafd 9b5d9676e853a3f0 8c79813840e568c9 e2fedb6bf4127655"
     ),
     ("rfasd-l6-tridiagonal", "proportional", 0): (
-        4000, "d6fec003701aec71 7c543e2fbfdd7d3c d080de982beab02a 9380682eff508aa8"
+        4000, "d6fec003701aec71 dce55a27c5bd006a 580986b7524d46a0 acd617e19b8f521f"
     ),
     ("rfasd-l6-tridiagonal", "proportional", 42): (
-        4000, "7a9d614471740d86 1988f95fb54bd9cd 6d3431ac8da28473 b8adca0c2e8f623b"
+        4000, "7a9d614471740d86 cb07a5b583f9e6fb af27ac7edd0e78d5 ecee11b6dfda6369"
     ),
     ("rfasd-l6-tridiagonal", "permutation", 0): (
-        959, "d81c1e36130012ea 07ded09a9d112518 8969754581fe3d69 92f0fcedbbd7c1d4"
+        959, "d81c1e36130012ea 77703ad29055617c 15b74b43623ea6d1 fc8023849a77271a"
     ),
     ("rfasd-l6-tridiagonal", "permutation", 42): (
-        907, "78833820d573fc58 a9d7373fd32eb578 f2f7973b8e5f9cab a9cfa6e3cf7ea451"
+        907, "78833820d573fc58 19c30a676852059b f2e86ee5373cc6db bc8c0a6d566c5b9b"
     ),
     ("rfasd-l6-tridiagonal", "cyclic", 0): (
-        1006, "23e5b37d0e2fbaf6 4b50c7329d8a4b63 ab2df969be8b9600 ea18ba0dcbd0b280"
+        1006, "23e5b37d0e2fbaf6 c0b31085b54e6d54 ab2df969be8b9600 fccb3d214fb8182e"
     ),
     ("rfasd-l6-tridiagonal", "cyclic", 42): (
-        1006, "23e5b37d0e2fbaf6 4b50c7329d8a4b63 ab2df969be8b9600 ea18ba0dcbd0b280"
+        1006, "23e5b37d0e2fbaf6 c0b31085b54e6d54 ab2df969be8b9600 fccb3d214fb8182e"
     ),
     ("rbcd2-n63", "uniform", 0): (
         4000, "7eab4ce8daa86cd7 312730dceb39cf42 0b8f8f1de754b085 0dc1ec9ab521e005"
@@ -192,28 +193,28 @@ PINS = {
         4000, "5fa810d77e265d2b ece94058064d7bf5 bcc5eac2e876c443 2ee2b62482d2620f"
     ),
     ("rfas-l6-quartic", "uniform", 0): (
-        2200, "b850c1a918308012 5b5f3ed811ef8d6f 9a1285981962b677 27b048a5ef9d4a35"
+        2200, "b850c1a918308012 70c5b2107773ca56 9a1285981962b677 15eb10d0d09b46bd"
     ),
     ("rfas-l6-quartic", "uniform", 42): (
-        1924, "f39da1924ca389b9 3a0f18bc05b6ef62 33a1e6ca49445aee c26d4cae84e1966c"
+        1924, "f39da1924ca389b9 3ad90eaea627c6f2 33a1e6ca49445aee 6338cff2adf0845d"
     ),
     ("rfas-l6-quartic", "proportional", 0): (
-        1639, "f1ffccbda36a6fb9 160b566c95c05242 396b1ce905b6f997 b66093ec1709a24e"
+        1639, "f1ffccbda36a6fb9 66c58b951b04d3ee 396b1ce905b6f997 72f635024ebbe001"
     ),
     ("rfas-l6-quartic", "proportional", 42): (
-        2026, "8f3d28c0ff5f9ccc 5e95708efb4512a1 4587dc44ae8592c8 47f0c07150c76de6"
+        2026, "8f3d28c0ff5f9ccc d49fff8cb8745f9b 4587dc44ae8592c8 7ee6bf7e05f77324"
     ),
     ("rfas-l6-quartic", "permutation", 0): (
-        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d 741dc93a886af419"
+        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d a12ea12634e9e0c0"
     ),
     ("rfas-l6-quartic", "permutation", 42): (
-        937, "9a599f5fc743ccd9 777fc38b66963aca 4cd7b31ac2d9de78 ac3943708533f4bd"
+        937, "9a599f5fc743ccd9 61fabbed87be6a4a 4cd7b31ac2d9de78 3f2afda3ff233118"
     ),
     ("rfas-l6-quartic", "cyclic", 0): (
-        1101, "3775eac36ed60e07 0fd1206407663815 8358e521624221b8 a63a58a7d757ddfa"
+        1101, "3775eac36ed60e07 1aea403f686b93f3 36e1f6df43193efd 72643073b4e4bcdc"
     ),
     ("rfas-l6-quartic", "cyclic", 42): (
-        1101, "3775eac36ed60e07 0fd1206407663815 8358e521624221b8 a63a58a7d757ddfa"
+        1101, "3775eac36ed60e07 1aea403f686b93f3 36e1f6df43193efd 72643073b4e4bcdc"
     ),
 }
 
