@@ -219,8 +219,9 @@ class Decomposition:
             i: _frozen(_galerkin(operator, *self.basis(i)), np.float64)
             for i in np.flatnonzero(~one).tolist()
         }
-        # [operator, result, pass data for applied(), applied(operator)]
-        self._energies = [operator, (_frozen(out, np.float64), galerkin), data, None]
+        # [operator, result, pass data for applied(), applied(operator),
+        #  the step kernel's binding (solvers)]
+        self._energies = [operator, (_frozen(out, np.float64), galerkin), data, None, None]
         return self._energies[1]
 
     def applied(self, operator):
@@ -274,7 +275,7 @@ class Decomposition:
             keep = np.argsort(at, kind="stable")
             keep = keep[nonzero[keep]]
             at = np.searchsorted(at[keep], offsets)
-            cached[2:] = None, tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
+            cached[2:4] = None, tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
         return cached[3]
 
     # -- flat kernel: restrict, local solve or apply, prolong-and-sum --

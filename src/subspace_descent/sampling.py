@@ -18,7 +18,10 @@ All randomness comes from ``numpy.random.default_rng`` (the PCG64 bit
 generator), so streams are reproducible across platforms for a fixed
 ``(kind, weights, J, seed)``.  Random kinds draw from the generator in
 fixed-size batches; this is an implementation detail but part of what
-defines the stream.
+defines the stream.  Besides one index at a time (``next_index``), a
+sampler hands out the unread rest of its current batch as an int64
+array (``batch``) and is told how many of those were used
+(``consume``); either way the stream is the same.
 """
 
 from __future__ import annotations
@@ -65,15 +68,33 @@ class Sampler:
             self.probabilities = np.full(size, 1.0 / size)
         # The stream holds no reference to the sampler, so that a finished
         # run frees both at once instead of leaving a cycle to the collector.
-        self._fetched = fetched = [0, iter(())]
+        self._fetched = fetched = [0, iter(()), None]
         batches = _batches(kind, self.size, self._rng, cumulative, fetched)
         #: Next subspace index in ``{0, ..., J-1}``; a draw runs no Python frame.
         self.next_index = chain.from_iterable(batches).__next__
 
     @property
     def draw_count(self):
-        """How many indices have been drawn."""
+        """How many indices have been drawn (batch indices once consumed)."""
         return self._fetched[0] - length_hint(self._fetched[1])
+
+    def batch(self):
+        """The next indices of the stream, as a nonempty int64 array.
+
+        They are the unread rest of the current batch (a fresh batch when
+        that is used up) and stay unread until :meth:`consume` marks a
+        leading part of them as drawn.
+        """
+        fetched = self._fetched
+        if not length_hint(fetched[1]):
+            self.next_index()  # fetch the next batch ...
+            fetched[1].__setstate__(0)  # ... and unread its first index
+        return fetched[2][fetched[2].size - length_hint(fetched[1]) :]
+
+    def consume(self, count):
+        """Mark the first ``count`` indices of :meth:`batch` as drawn."""
+        fetched = self._fetched
+        fetched[1].__setstate__(fetched[2].size - length_hint(fetched[1]) + count)
 
     def __iter__(self):
         return self
@@ -87,19 +108,22 @@ class Sampler:
 
 def _batches(kind, size, rng, cumulative, fetched):
     """Iterators over the stream's batches; ``fetched`` holds the number of
-    indices made so far and the iterator over the current batch."""
+    indices made so far, the iterator over the current batch and the
+    batch as an int64 array."""
+    sweep = np.arange(size, dtype=np.int64) if kind == "cyclic" else None
     while True:
         if kind == "cyclic":
-            batch = range(size)
+            batch = sweep
         elif kind == "permutation":
-            batch = rng.permutation(size).tolist()
+            batch = rng.permutation(size)
         elif kind == "uniform":
-            batch = rng.integers(0, size, size=_BATCH, dtype=np.intp).tolist()
+            batch = rng.integers(0, size, size=_BATCH, dtype=np.intp)
         else:  # proportional: inverse CDF with ties resolved to the lower index
             batch = np.searchsorted(cumulative, rng.random(_BATCH), side="left")
-            batch = np.minimum(batch, size - 1).tolist()
-        fetched[0] += len(batch)
-        fetched[1] = it = iter(batch)
+            batch = np.minimum(batch, size - 1)
+        fetched[0] += batch.size
+        fetched[2] = batch.astype(np.int64, copy=False)
+        fetched[1] = it = iter(range(size) if kind == "cyclic" else batch.tolist())
         yield it
 
 

@@ -26,34 +26,39 @@ Methods
     the other subspaces solve the stationarity equation.
 
 For quadratic objectives the gradient and objective value are carried
-incrementally.  A step adds c P_i (a canonical contiguous k = 1
-support, whose g_i and x take Python floats up to ``_SCALAR_WIDTH``
-entries and one dot beyond) or P_i delta (blocks, other supports,
-non-canonical ``rfas`` steps) to x, and g moves by the same multiple
-of H P_i.  Under a banded Hessian that is one rule for every subspace:
-g changes only at the nnz(H P_i) cached nonzeros of
-``Decomposition.applied`` (3 for a multilevel hat), and ``||g||^2`` is
-carried too, which makes a step O(support size).  The carried
-norm is set exactly from g at every epoch boundary, and the stopping
-test uses the exact norm whenever the carried one is within its
-rounding bound of the threshold.  A run stops as converged only if the
-true gradient at the final iterate meets the tolerance; if it does not,
-g, f and the norm are resynced from it and the run goes on.  The loop
-and the single-step reference functions address subspace i of a
-decomposition by its index and read it from the flat arrays.  Single
-entries of these, g and x go through memoryviews: they index in half
-the time of ``ndarray.item`` or ``g[r] = v``, which outweigh a step's math.
+incrementally.  A step adds c P_i or P_i delta to x, and g moves by the
+same multiple of H P_i.  Under a banded Hessian g changes only at the
+nnz(H P_i) cached nonzeros of ``Decomposition.applied`` (3 for a
+multilevel hat), and ``||g||^2`` is carried too, which makes a step
+O(support size).  There the scalar steps (a canonical k = 1 subspace on
+a contiguous support) run in the compiled kernel ``_step.c``, one
+sampler batch at a time: it sums g_i left to right, adds c v_i to x,
+``c g_i + c^2 h_i / 2`` to f and c (H v_i) to g, and hands back to this
+loop at an epoch boundary, when the carried norm nears the threshold,
+at ``max_iterations`` and before any other step.  Every other step
+(blocks, other supports, non-canonical ``rfas`` steps, and all steps
+under a dense Hessian or of a non-quadratic objective) is the general
+P_i delta step in numpy.  The carried norm is set exactly from g at
+every epoch boundary, and the stopping test uses the exact norm
+whenever the carried one is within its rounding bound of the
+threshold.  A run stops as converged only if the true gradient at the
+final iterate meets the tolerance; if it does not, g, f and the norm
+are resynced from it and the run goes on.  The loop and the
+single-step reference functions address subspace i of a decomposition
+by its index and read it from the flat arrays.
 """
 
 from __future__ import annotations
 
-from array import array
+import ctypes
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
 
 import numpy as np
 
+from . import _kernel
 from .linalg import (
+    DimensionMismatchError,
     NotSpdError,
     SpdOperator,
     as_vector,
@@ -82,12 +87,6 @@ METHODS = ("gd", "pgd", "rcd", "rbcd", "rfasd", "rfas")
 _GUARD_EPOCHS = 10
 _GUARD_GROWTH = 1e3
 _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
-
-# Widest k = 1 support whose g_i and x are summed and updated on floats.
-_SCALAR_WIDTH = 3
-# Most nonzeros of H P_i that a scalar step updates one at a time; longer
-# stencils, and every P_i delta step, take one gather / add / scatter.
-_STENCIL_LOOP = 10
 
 
 class DivergenceError(RuntimeError):
@@ -407,8 +406,46 @@ def run_solver(
     )
 
 
-def _finish(record, config, j, converged, x, objective):
-    f, gn, chosen = (np.frombuffer(a, a.typecode) for a in record)  # no copy
+class _Records:
+    """f and ||g|| at each visited state and the index chosen there, in
+    arrays that grow in place by an eighth and end at their exact size.
+
+    ``run``, a kernel argument block, has its record pointers kept on
+    the arrays as they move.
+    """
+
+    def __init__(self, size, run=None):
+        self.arrays = (np.empty(size), np.empty(size), np.empty(size, dtype=np.int64))
+        self.run = run
+        self._moved()
+
+    def _moved(self):
+        if self.run is not None:
+            self.run.fs, self.run.gns, self.run.chosen = map(_kernel.address, self.arrays)
+
+    def reserve(self, size):
+        """Make room for ``size`` states."""
+        if size <= self.arrays[0].size:
+            return
+        for a in self.arrays:
+            a.resize(size + (size >> 3), refcheck=False)
+        self._moved()
+
+    def put(self, k, f, gn, i=-1):
+        fs, gns, chosen = self.arrays
+        if k >= fs.size:
+            self.reserve(k + 1)
+        fs[k], gns[k], chosen[k] = f, gn, i
+
+    def trimmed(self, k):
+        """The records of states 0..k; the arrays shrink in place."""
+        for a, size in zip(self.arrays, (k + 1, k + 1, k)):
+            a.resize(size, refcheck=False)
+        return self.arrays
+
+
+def _finish(record, k, config, j, converged, x, objective):
+    f, gn, chosen = record.trimmed(k)
     gaps = None
     if objective.known_minimum is not None:
         gaps = f - objective.known_minimum
@@ -465,19 +502,17 @@ def _run_full_space(config, objective, decomposition, x):
     f = objective.value(x)
     gn = float(np.linalg.norm(g))
     threshold = config.tolerance * gn
-    fs, gns, chosen = record = array("d"), array("d"), array("q")
+    record = _Records(min(config.max_iterations, 1024) + 1)
     guard = _Guard(f)
     k = 0
     converged = False
     while True:
-        fs.append(f)
-        gns.append(gn)
         if gn <= threshold:
             converged = True
             break
         if k >= config.max_iterations:
             break
-        chosen.append(0)
+        record.put(k, f, gn, 0)
         if pgd:
             x -= alpha * precond.solve(g)
         else:
@@ -487,7 +522,8 @@ def _run_full_space(config, objective, decomposition, x):
         gn = float(np.linalg.norm(g))
         k += 1
         guard.check(f, k)
-    return _finish(record, config, 1, converged, x, objective)
+    record.put(k, f, gn)
+    return _finish(record, k, config, 1, converged, x, objective)
 
 
 def _run_subspace(config, objective, decomposition, x, local_objectives, projections):
@@ -526,28 +562,35 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             local_objectives = [QuadraticEnergyLocal(d, i) for i in range(j)]
 
     quadratic = objective.is_quadratic
-    offsets, vals = d.offsets, d.vals
-    b0_arr = d.rows[offsets[:-1]]  # support start
-    b1_arr = d.rows[offsets[1:] - 1] + 1  # support end + 1
-    contiguous = b1_arr - b0_arr == np.diff(offsets)
-    # The steps that add a scalar c: k = 1, quadratic, contiguous, canonical.
-    scalar = quadratic & (d.k == 1) & contiguous & canonical
-    general = np.flatnonzero(~scalar).tolist()
-    parts = {i: d.basis(i) for i in general}  # the general branch's basis(i)
-    banded = False
+    binding = steps = None  # the kernel's view of d, and the kernel
+    scalar = np.zeros(j, dtype=np.uint8)  # the steps the kernel takes
     if quadratic:
         h = objective.hessian_matrix
-        banded = isinstance(h, SpdOperator) and h.is_banded
-        if banded:
-            aoff, arows, avals = d.applied(h)
-            aoffv, arowv, avalv = map(memoryview, (aoff, arows, avals))
+        if isinstance(h, SpdOperator) and h.is_banded:
+            binding = _kernel.bind(d, h)
+            aoff, arows, avals = binding.applied
+            scalar = binding.scalar if canonical.all() else binding.scalar & canonical
+            if scalar.any():
+                steps = _kernel.load()
         else:
             hdense = h.dense() if isinstance(h, SpdOperator) else np.asarray(h, float)
         hscal, hgal = d.local_energies(h)
-        hscalv = memoryview(hscal)
+    # What the general branch reads of subspace i: basis(i), the local
+    # matrix of H and, when banded, the nonzero rows of H P_i and their
+    # k[i] values each.
+    general = np.flatnonzero(scalar == 0).tolist()
+    parts = {i: d.basis(i) for i in general}
+    if quadratic:
         hloc = {i: hgal[i] if i in hgal else np.array([[hscal[i]]]) for i in general}
+    if binding is not None:
+        stencils = {}
+        for i in general:
+            at, k_i = slice(aoff[i], aoff[i + 1]), d.k[i]
+            stencils[i] = arows[at][::k_i], avals[at].reshape(-1, k_i)
 
-    g = objective.gradient(x)
+    g = np.array(objective.gradient(x), dtype=np.float64)
+    if g.shape != (n,):  # the kernel writes g in place
+        raise DimensionMismatchError(f"gradient has shape {g.shape}, expected ({n},)")
     f = objective.value(x)
     # gn2 = ||g||^2 is carried through banded updates and set from g @ g
     # at each epoch boundary.  Its rounding error stays below tau * slack
@@ -557,16 +600,19 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     threshold = config.tolerance * sqrt(gn2)
     thr2 = threshold * threshold
     tau = 4.0 * (n + j) * _EPS
-    fs, gns, chosen = record = array("d"), array("d"), array("q")
+    max_iterations = config.max_iterations
+    run = None
+    if steps is not None:
+        run = _kernel.Run(
+            *map(_kernel.address, (x, g, alpha, scalar)),
+            thr2=thr2, tau=tau, kmax=max_iterations, j=j,
+        )
+        run_ref, layout_ref = ctypes.byref(run), ctypes.byref(binding.layout)
+    record = _Records(min(max_iterations, 1024) + 1, run)
     guard = _Guard(f)
-    # Views for single entries (see the module docstring).
-    gv, xv, scalarv, alphav, canonv = map(memoryview, (g, x, scalar, alpha, canonical))
-    b0v, b1v, offv, valv, scalv = map(memoryview, (b0_arr, b1_arr, offsets, vals, d.scalars))
-    kv = memoryview(d.k)
 
     k = 0
     converged = False
-    max_iterations = config.max_iterations
     next_index = sampler.next_index
     while True:
         if gn2 <= thr2 + tau * (slack + thr2):
@@ -579,73 +625,50 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                 converged = sqrt(gn2) <= threshold
                 if not converged:
                     f = objective.value(x)
-        fs.append(f)
-        gns.append(sqrt(gn2))
         if converged or k >= max_iterations:
             break
+        if steps is not None:
+            batch = sampler.batch()
+            if scalar[batch[0]]:
+                # Scalar steps from the sampler's batch, in C, up to where
+                # this loop has more to do than such a step.
+                record.reserve(k + batch.size)
+                run.k, run.f, run.gn2, run.slack = k, f, gn2, slack
+                sampler.consume(
+                    steps(layout_ref, run_ref, _kernel.address(batch), batch.size)
+                )
+                k, f, gn2, slack = run.k, run.f, run.gn2, run.slack
+                if k % j == 0:
+                    guard.check(f, k)
+                    gn2 = slack = float(g @ g)
+                continue
+        # Any other step adds P_i delta to x.
         i = next_index()
-        chosen.append(i)
-        # What to add to x: c P_i, or P_i delta.
-        scalar_i = scalarv[i]
-        if scalar_i:
-            # g_i over the support [b, b1): summed left to right on floats
-            # while narrow, one dot when wider; x moves the same way.
-            b, b1, o = b0v[i], b1v[i], offv[i]
-            if b1 - b <= _SCALAR_WIDTH:
-                gi = valv[o] * gv[b]
-                for t in range(1, b1 - b):
-                    gi += valv[o + t] * gv[b + t]
-                c = alphav[i] * (-gi / scalv[i])
-                for t in range(b1 - b):
-                    xv[b + t] += c * valv[o + t]
-            else:
-                col = vals[o : offv[i + 1]]
-                gi = float(col @ g[b:b1])
-                c = alphav[i] * (-gi / scalv[i])
-                x[b:b1] += c * col
-            f += c * gi + 0.5 * c * c * hscalv[i]
+        record.put(k, f, sqrt(gn2), i)
+        at, basis = parts[i]
+        gi = basis.T @ g[at]
+        if canonical[i]:
+            sloc = _solve_local(d, i, np.negative(gi))
         else:
-            at, basis = parts[i]
-            gi = basis.T @ g[at]
-            if canonv[i]:
-                sloc = _solve_local(d, i, np.negative(gi))
-            else:
-                loc = local_objectives[i]
-                q = np.zeros(basis.shape[1])
-                if projections is not None and projections[i] is not None:
-                    q = np.atleast_1d(np.asarray(projections[i](x), dtype=float))
-                sloc = solve_local_stationarity(loc, loc.gradient(q) - gi, q) - q
-            delta = alphav[i] * sloc
-            dx = basis @ delta
-            x[at] += dx
-            if quadratic:
-                f += float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
-        # How g moves: by that times H P_i.
-        if banded:
-            # at the cached nonzeros of H P_i: row by row on floats for a
-            # short stencil and a scalar c, else as one gather / add / scatter
-            p, p1 = aoffv[i], aoffv[i + 1]
-            if scalar_i and p1 - p <= _STENCIL_LOOP:
-                s_old = s_new = 0.0
-                for t in range(p, p1):
-                    r = arowv[t]
-                    old = gv[r]
-                    gv[r] = new = old + c * avalv[t]
-                    s_old += old * old
-                    s_new += new * new
-            else:
-                at = arows[p:p1:kv[i]]
-                old = g[at]
-                if scalar_i:
-                    g[at] = new = old + c * avals[p:p1]
-                else:
-                    g[at] = new = old + avals[p:p1].reshape(at.size, -1) @ delta
-                s_old, s_new = float(old @ old), float(new @ new)
+            loc = local_objectives[i]
+            q = np.zeros(basis.shape[1])
+            if projections is not None and projections[i] is not None:
+                q = np.atleast_1d(np.asarray(projections[i](x), dtype=float))
+            sloc = solve_local_stationarity(loc, loc.gradient(q) - gi, q) - q
+        delta = alpha[i] * sloc
+        dx = basis @ delta
+        x[at] += dx
+        if quadratic:
+            f += float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
+        # g moves by H P_i delta.
+        if binding is not None:
+            rows, hp = stencils[i]
+            old = g[rows]
+            g[rows] = new = old + hp @ delta
+            s_old, s_new = float(old @ old), float(new @ new)
             gn2 += s_new - s_old
             slack += s_new + s_old
         elif quadratic:  # dense H
-            if scalar_i:
-                at, dx = slice(b, b1), c * vals[o : offv[i + 1]]
             g += hdense[:, at] @ dx
             gn2 = float(g @ g)
         else:
@@ -655,4 +678,5 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         if k % j == 0:
             guard.check(f, k)
             gn2 = slack = float(g @ g)
-    return _finish(record, config, j, converged, x, objective)
+    record.put(k, f, sqrt(gn2))
+    return _finish(record, k, config, j, converged, x, objective)

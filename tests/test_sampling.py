@@ -164,3 +164,42 @@ class TestBookkeeping:
         a = Sampler("cyclic", 3, seed=0)
         b = make_sampler("cyclic", size=3)
         assert draws(a, 7) == draws(b, 7)
+
+
+def sampler_of(kind, size, seed):
+    if kind == "proportional":
+        return make_sampler(kind, lipschitz=np.arange(1.0, size + 1.0), seed=seed)
+    return make_sampler(kind, size=size, seed=seed)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    @pytest.mark.parametrize("size", [1, 7, 1500])
+    def test_batches_and_single_draws_share_one_stream(self, kind, size):
+        # random mixes of next_index and batch/consume, across many batch
+        # boundaries (J for permutation and cyclic, 1024 for the others)
+        expected = draws(sampler_of(kind, size, 9), 9000)
+        s, got, mix = sampler_of(kind, size, 9), [], np.random.default_rng(size)
+        while len(got) < 6000:
+            if mix.random() < 0.3:
+                got.append(s.next_index())
+            else:
+                batch = s.batch()
+                assert batch.dtype == np.int64 and batch.size > 0
+                assert np.array_equal(s.batch(), batch)  # unread until consumed
+                used = int(mix.integers(0, batch.size + 1))
+                got.extend(batch[:used].tolist())
+                s.consume(used)
+            assert s.draw_count == len(got)
+        assert got == expected[: len(got)]
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_whole_batches(self, kind):
+        s = sampler_of(kind, 5, 2)
+        expected = draws(sampler_of(kind, 5, 2), 3000)
+        got = []
+        while len(got) < 3000:
+            batch = s.batch()
+            got.extend(batch.tolist())
+            s.consume(batch.size)
+        assert got[:3000] == expected and s.draw_count == len(got)

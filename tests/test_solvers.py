@@ -12,7 +12,7 @@ from subspace_descent.decomposition import (
     with_quadratic_lipschitz,
 )
 from subspace_descent.experiments import ExperimentSpec, build_problem, theory_check
-from subspace_descent.linalg import NotSpdError, SpdOperator
+from subspace_descent.linalg import DimensionMismatchError, NotSpdError, SpdOperator
 from subspace_descent import sampling, solvers
 from subspace_descent.objectives import (
     QuadraticObjective,
@@ -462,9 +462,8 @@ def true_norms(obj, xs):
 def replay_level6(obj, d):
     """Run rfasd at level 6 and check it against the single-step replay.
 
-    The k = 1 hats are 1, 3, 7, 15, 31 and 63 wide, on both sides of the
-    scalar-step switch, including both boundary hats.  Returns the
-    decomposition and the trace.
+    The k = 1 hats are 1, 3, 7, 15, 31 and 63 wide, including both
+    boundary hats.  Returns the decomposition and the trace.
     """
     cfg = SolverConfig(method="rfasd", seed=3, max_iterations=1500)
     tr = run_solver(cfg, obj, d)
@@ -478,10 +477,19 @@ def replay_level6(obj, d):
 
 
 def long_stencils(obj, d, tr):
-    """Whether each wide step of ``tr`` updated g as one scatter."""
-    wide = np.diff(d.offsets)[tr.chosen] > solvers._SCALAR_WIDTH
-    stencils = np.diff(d.applied(obj.hessian)[0])[tr.chosen]
-    return stencils[wide] > solvers._STENCIL_LOOP
+    """Whether each step of ``tr`` moved g at more than the three rows of
+    a hat's coarse-grid stencil (nnz of H P_i)."""
+    return np.diff(d.applied(obj.hessian)[0])[tr.chosen] > 3
+
+
+def prefix_of(short, long, k):
+    """Whether ``short`` is the first ``k`` steps of ``long``, bit for bit."""
+    return (
+        short.iteration_count == k
+        and np.array_equal(short.chosen, long.chosen[:k])
+        and short.objective_values.tobytes() == long.objective_values[: k + 1].tobytes()
+        and short.gradient_norms.tobytes() == long.gradient_norms[: k + 1].tobytes()
+    )
 
 
 class TestScalarStepAndStop:
@@ -498,6 +506,90 @@ class TestScalarStepAndStop:
         d = with_quadratic_lipschitz(multilevel_nodal_decomposition(6), h)
         long = long_stencils(obj, *replay_level6(obj, d))
         assert long.any() and not long.all()
+
+    def test_replay_coordinates(self):
+        # rcd: every step is the kernel's, on one-entry supports
+        obj, d = build_problem(ExperimentSpec(n=63, method="rcd"))
+        cfg = SolverConfig(method="rcd", seed=3, max_iterations=1500)
+        tr = run_solver(cfg, obj, d)
+        assert set(tr.chosen.tolist()) == set(range(63))
+        xs = replay_states(obj, d, tr.chosen)
+        assert_allclose(tr.final_x, xs[-1], rtol=1e-12)
+        assert_allclose(tr.objective_values, [obj.value(x) for x in xs], rtol=1e-12)
+        assert_allclose(tr.gradient_norms, true_norms(obj, xs), rtol=1e-9)
+
+    def test_kernel_hands_back_non_canonical_steps(self):
+        # rfas with a quartic local on two hats: the kernel stops before
+        # each of their steps and the general branch takes them
+        obj, d = build_problem(ExperimentSpec(level=4, method="rfas"))
+        locals_ = [QuadraticEnergyLocal(d, i) for i in range(len(d))]
+        for i in (2, 9):
+            locals_[i] = QuarticLocal(d.scalars[i])
+        cfg = SolverConfig(method="rfas", seed=4, max_iterations=300)
+        tr = run_solver(cfg, obj, d, local_objectives=locals_)
+        picks = tr.chosen.tolist()
+        assert 2 in picks and 9 in picks and len(set(picks)) == len(d)
+        x, f = np.ones(15), [obj.value(np.ones(15))]
+        for i in picks:
+            x = x + (1.0 / d.lipschitz[i]) * fas_search_direction(x, d, i, locals_[i], obj)
+            f.append(obj.value(x))
+        assert_allclose(tr.final_x, x, rtol=1e-12)
+        assert_allclose(tr.objective_values, f, rtol=1e-12)
+
+    def test_gradient_of_the_wrong_length_is_refused(self):
+        class Short(QuadraticObjective):
+            def gradient(self, x):
+                return super().gradient(x)[:-1]
+
+        h, b = nesterov_matrix_form(15)
+        with pytest.raises(DimensionMismatchError):
+            run_solver(SolverConfig("rfasd"), Short(h, b), multilevel_nodal_decomposition(4))
+
+    @pytest.mark.parametrize("sampler", ["uniform", "permutation"])
+    def test_records_grow_under_both_branches(self, sampler):
+        # 2-blocks at N = 63 leave one coordinate to the kernel; records
+        # grow under general steps between its calls
+        obj, d = build_problem(ExperimentSpec(n=63, method="rbcd", block_size=2))
+        cfg = SolverConfig(method="rbcd", sampler=sampler, seed=0, max_iterations=3000)
+        tr = run_solver(cfg, obj, d)
+        assert (tr.chosen == 31).sum() > 50
+        xs = replay_states(obj, d, tr.chosen)
+        assert_allclose(tr.final_x, xs[-1], rtol=1e-12)
+        assert_allclose(tr.objective_values, [obj.value(x) for x in xs], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "method, sampler, cap",
+        [
+            ("rfasd", "uniform", 0),
+            ("rfasd", "uniform", 700),  # inside the first batch of 1024
+            ("rfasd", "uniform", 1500),  # inside the second
+            ("rfasd", "cyclic", 2 * 26),  # on an epoch (and batch) boundary
+            ("rfasd", "permutation", 3 * 26 + 5),  # just past one
+            ("rcd", "permutation", 5 * 15),  # on an epoch and a batch boundary
+            ("rcd", "proportional", 1024),  # at the end of a batch
+        ],
+    )
+    def test_max_iterations_stops_anywhere(self, method, sampler, cap, monkeypatch):
+        made = []
+
+        def spy(*args, **kwargs):
+            made.append(sampling.make_sampler(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(solvers, "make_sampler", spy)
+        obj = nesterov_worst(15)
+        d = with_quadratic_lipschitz(
+            multilevel_nodal_decomposition(4) if method == "rfasd"
+            else coordinate_decomposition(15),
+            obj.hessian,
+        )
+        cfg = SolverConfig(method=method, sampler=sampler, seed=2, tolerance=1e-300)
+        long = run_solver(SolverConfig(**{**vars(cfg), "max_iterations": 2000}), obj, d)
+        short = run_solver(SolverConfig(**{**vars(cfg), "max_iterations": cap}), obj, d)
+        assert long.iteration_count > cap and not short.converged
+        assert prefix_of(short, long, cap)
+        assert len(d) == {"rfasd": 26, "rcd": 15}[method]
+        assert made[1].draw_count == cap
 
     @pytest.mark.parametrize(
         "n, level, seed, kw",

@@ -6,11 +6,15 @@ bytes of ``chosen``, ``final_x``, ``objective_values`` and
 keep every digest; a change that moves bits on purpose must list what
 moved and re-record the digests.
 
-The digests are platform-specific: the dots over wide multilevel hats
-(``col @ g[b:b1]``), the block solves and the block updates of g
-(``(H P_i) @ delta``) go through numpy's BLAS, whose
-summation order depends on its build and on the CPU kernel it picks.
-They were recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
+Scalar steps (one basis column on a contiguous support) run in the
+compiled kernel ``_step.c``, which sums left to right and is built
+without floating-point contraction, so they round the same way on every
+platform, wide hats included.  The digests are still platform-specific:
+the exact ``g @ g`` at each epoch boundary, the block solves and the
+general steps' restrictions and updates of g (``basis.T @ g[at]``,
+``(H P_i) @ delta``) go through numpy's BLAS, whose summation order
+depends on its build and on the CPU kernel it picks.  They were
+recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
 """
 
 import hashlib
@@ -121,52 +125,52 @@ PINS = {
         4000, "ff396c4f114526a8 b5e3d0f2e89c9327 05f703d93edee75b c1050e3ddb8c8e57"
     ),
     ("rfasd-l6", "uniform", 0): (
-        2200, "b850c1a918308012 bb39ea1ea17c5998 1c14345a60566184 79665baf63f0641a"
+        2200, "b850c1a918308012 041768d0ecdc8d75 1c14345a60566184 8bd3d1bbd2fc7e5f"
     ),
     ("rfasd-l6", "uniform", 42): (
-        1924, "f39da1924ca389b9 fbde376068aa5037 58623f5fc9080ba1 fa5987d231730e51"
+        1924, "f39da1924ca389b9 99d9622a50eba9e6 58623f5fc9080ba1 1451658ee719cdd0"
     ),
     ("rfasd-l6", "proportional", 0): (
-        1639, "f1ffccbda36a6fb9 52054615f1781c86 a27c792522ffb5b3 8d7c0f30089dea6f"
+        1639, "f1ffccbda36a6fb9 381a64a94897b365 a27c792522ffb5b3 433e15277443aee9"
     ),
     ("rfasd-l6", "proportional", 42): (
-        2026, "8f3d28c0ff5f9ccc bd171d179c6569fc 27f2d4b21d94385f 49056d0193964086"
+        2026, "8f3d28c0ff5f9ccc 506e0b9a62f47e8b 27f2d4b21d94385f 68eb9f55a6d60be9"
     ),
     ("rfasd-l6", "permutation", 0): (
-        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d a12ea12634e9e0c0"
+        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d 7022ea3f9962a8ee"
     ),
     ("rfasd-l6", "permutation", 42): (
-        937, "9a599f5fc743ccd9 61fabbed87be6a4a 4cd7b31ac2d9de78 3f2afda3ff233118"
+        937, "9a599f5fc743ccd9 fece2ced45af4c96 4cd7b31ac2d9de78 cc82c9a11e1809c6"
     ),
     ("rfasd-l6", "cyclic", 0): (
-        1101, "3775eac36ed60e07 fb7e7939a53feaea ef306fa89e8ebd3e 60e5447da4f384a0"
+        1101, "3775eac36ed60e07 34d9a960b27f41f8 ef306fa89e8ebd3e 3a6927ae8fe64953"
     ),
     ("rfasd-l6", "cyclic", 42): (
-        1101, "3775eac36ed60e07 fb7e7939a53feaea ef306fa89e8ebd3e 60e5447da4f384a0"
+        1101, "3775eac36ed60e07 34d9a960b27f41f8 ef306fa89e8ebd3e 3a6927ae8fe64953"
     ),
     ("rfasd-l6-tridiagonal", "uniform", 0): (
-        1919, "3738fe78477f9084 eb1dbb836fb4a685 130cca06ab1afadf c84b1aadaf2c4a76"
+        1919, "3738fe78477f9084 397cc26a1f626b85 d8938957b164828f 1593442ee990f7a3"
     ),
     ("rfasd-l6-tridiagonal", "uniform", 42): (
-        1857, "64b76d83e599cafd 9b5d9676e853a3f0 8c79813840e568c9 e2fedb6bf4127655"
+        1857, "64b76d83e599cafd bbc623cac88626f2 36e6982a51a992b9 c75a13bb3abe21d5"
     ),
     ("rfasd-l6-tridiagonal", "proportional", 0): (
-        4000, "d6fec003701aec71 dce55a27c5bd006a 580986b7524d46a0 acd617e19b8f521f"
+        4000, "d6fec003701aec71 ecb2613395c48ef5 5a0b12f15aa72f5b d242daa2744672aa"
     ),
     ("rfasd-l6-tridiagonal", "proportional", 42): (
-        4000, "7a9d614471740d86 cb07a5b583f9e6fb af27ac7edd0e78d5 ecee11b6dfda6369"
+        4000, "7a9d614471740d86 abcd66a596b228d1 002f8679bcf8024c b5a2a6b2dae73d6f"
     ),
     ("rfasd-l6-tridiagonal", "permutation", 0): (
-        959, "d81c1e36130012ea 77703ad29055617c 15b74b43623ea6d1 fc8023849a77271a"
+        959, "d81c1e36130012ea c741e7e96a648307 9d51e241f63f20ab 6cff9c57a1ec0d2c"
     ),
     ("rfasd-l6-tridiagonal", "permutation", 42): (
-        907, "78833820d573fc58 19c30a676852059b f2e86ee5373cc6db bc8c0a6d566c5b9b"
+        907, "78833820d573fc58 44a59de082e2962d cf2171364148d61e 14d4101056aaa5eb"
     ),
     ("rfasd-l6-tridiagonal", "cyclic", 0): (
-        1006, "23e5b37d0e2fbaf6 c0b31085b54e6d54 ab2df969be8b9600 fccb3d214fb8182e"
+        1006, "23e5b37d0e2fbaf6 433682f0ebade7a3 ab2df969be8b9600 ee9633153cac3ab5"
     ),
     ("rfasd-l6-tridiagonal", "cyclic", 42): (
-        1006, "23e5b37d0e2fbaf6 c0b31085b54e6d54 ab2df969be8b9600 fccb3d214fb8182e"
+        1006, "23e5b37d0e2fbaf6 433682f0ebade7a3 ab2df969be8b9600 ee9633153cac3ab5"
     ),
     ("rbcd2-n63", "uniform", 0): (
         4000, "7eab4ce8daa86cd7 312730dceb39cf42 0b8f8f1de754b085 0dc1ec9ab521e005"
@@ -193,28 +197,28 @@ PINS = {
         4000, "5fa810d77e265d2b ece94058064d7bf5 bcc5eac2e876c443 2ee2b62482d2620f"
     ),
     ("rfas-l6-quartic", "uniform", 0): (
-        2200, "b850c1a918308012 70c5b2107773ca56 9a1285981962b677 15eb10d0d09b46bd"
+        2200, "b850c1a918308012 de7895e0be4da93c 9a1285981962b677 20ebd532b5dd1d74"
     ),
     ("rfas-l6-quartic", "uniform", 42): (
-        1924, "f39da1924ca389b9 3ad90eaea627c6f2 33a1e6ca49445aee 6338cff2adf0845d"
+        1924, "f39da1924ca389b9 4dc8f3ac7e688314 33a1e6ca49445aee f1a923e3e1ad0b46"
     ),
     ("rfas-l6-quartic", "proportional", 0): (
-        1639, "f1ffccbda36a6fb9 66c58b951b04d3ee 396b1ce905b6f997 72f635024ebbe001"
+        1639, "f1ffccbda36a6fb9 bb1210ae0a638935 396b1ce905b6f997 0b0c678c8e6aeb7b"
     ),
     ("rfas-l6-quartic", "proportional", 42): (
-        2026, "8f3d28c0ff5f9ccc d49fff8cb8745f9b 4587dc44ae8592c8 7ee6bf7e05f77324"
+        2026, "8f3d28c0ff5f9ccc dd32e552ef74b40c 4587dc44ae8592c8 6ac89b68967bada4"
     ),
     ("rfas-l6-quartic", "permutation", 0): (
-        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d a12ea12634e9e0c0"
+        970, "04edecca5abc031c 0f6123846e2b46bb bc220515ed3cd41d 7022ea3f9962a8ee"
     ),
     ("rfas-l6-quartic", "permutation", 42): (
-        937, "9a599f5fc743ccd9 61fabbed87be6a4a 4cd7b31ac2d9de78 3f2afda3ff233118"
+        937, "9a599f5fc743ccd9 fece2ced45af4c96 4cd7b31ac2d9de78 cc82c9a11e1809c6"
     ),
     ("rfas-l6-quartic", "cyclic", 0): (
-        1101, "3775eac36ed60e07 1aea403f686b93f3 36e1f6df43193efd 72643073b4e4bcdc"
+        1101, "3775eac36ed60e07 b376aae1fcaf6526 c96d8869ed191563 7514b75508320c00"
     ),
     ("rfas-l6-quartic", "cyclic", 42): (
-        1101, "3775eac36ed60e07 1aea403f686b93f3 36e1f6df43193efd 72643073b4e4bcdc"
+        1101, "3775eac36ed60e07 b376aae1fcaf6526 c96d8869ed191563 7514b75508320c00"
     ),
 }
 
