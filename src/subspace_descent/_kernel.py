@@ -3,31 +3,32 @@
 The library is compiled on first use with the C compiler Python was
 built with (``sysconfig``'s ``CC``), from the source bytes on standard
 input, and stored under a name that hashes the source, the compiler
-command and the flags: in the package's ``__pycache__``, or in the
-system temporary directory when that is not writable.  A changed
-source therefore builds a new library and never loads a stale one.
-The build writes a temporary file and renames it into place, so
-concurrent first runs never see half a library.  Each process loads
-it once.
+command and the flags.  It is stored in the package's ``__pycache__``
+when this user owns that and no one else may write to it, else in
+``subspace_descent-<uid>`` under the system temporary directory, made
+with mode 0o700 and refused if it is not owned by this user or is
+writable by others: nothing is built or loaded where another user
+could have put a library first.  A changed source builds a new library
+and never loads a stale one.  The build writes a temporary file and
+renames it into place, so concurrent first runs never see half a
+library.  Each process loads it once; the build tools are imported
+only then.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
+import stat
 from pathlib import Path
 
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_step.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
+#: The compiler command; None for the one Python was built with.
+CC = None
 # No -ffast-math or -march=native, and no contraction into fused
 # multiply-adds: the kernel must round as the Python loop did.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -36,7 +37,7 @@ _P = ctypes.c_void_p
 
 
 class KernelBuildError(OSError):
-    """The C compiler could not build the step kernel; ``stderr`` says why."""
+    """The step kernel cannot be built or stored; ``stderr`` is the compiler's."""
 
     def __init__(self, message, stderr=""):
         super().__init__(f"{message}\n{stderr}".rstrip())
@@ -59,11 +60,12 @@ class Run(ctypes.Structure):
     _fields_ += [(name, ctypes.c_int64) for name in ("k", "kmax", "j")]
 
 
-def address(a):
-    """Address of the first entry of a nonempty C-contiguous array."""
-    if a.flags.writeable:  # three times faster than the array interface
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    return a.__array_interface__["data"][0]
+def address(a, dtype):
+    """Address of the first entry of ``a``, which must be a C-contiguous
+    array of ``dtype``: the kernel reads it as such."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise TypeError(f"the step kernel needs a C-contiguous {np.dtype(dtype)} array")
+    return a.ctypes.data
 
 
 class Binding:
@@ -82,11 +84,10 @@ class Binding:
         contiguous = rows[offsets[1:] - 1] + 1 - start == offsets[1:] - offsets[:-1]
         self.scalar = ((d.k == 1) & contiguous).view(np.uint8)
         self.applied = applied
-        arrays = (start, offsets, d.vals, d.scalars, d.local_energies(hessian)[0])
-        arrays += applied
-        types = (np.int64, np.int64) + (np.float64,) * 3 + (np.int64, np.int64, np.float64)
-        self._arrays = [np.ascontiguousarray(a, t) for a, t in zip(arrays, types)]
-        self.layout = Layout(*map(address, self._arrays))
+        self._arrays = (start, offsets, d.vals, d.scalars, d.local_energies(hessian)[0])
+        self._arrays += applied
+        types = (np.int64,) * 2 + (np.float64,) * 3 + (np.int64,) * 2 + (np.float64,)
+        self.layout = Layout(*map(address, self._arrays, types))
 
 
 def bind(d, hessian):
@@ -98,28 +99,63 @@ def bind(d, hessian):
     return cached[4]
 
 
-def library():
-    """Path of the compiled kernel, built first if it is not cached."""
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(repr((CC, FLAGS)).encode() + source).hexdigest()[:16]
-    directory = CACHE_DIR
+def _private(directory, uid):
+    """Whether ``directory`` is a directory (not a link) that ``uid`` owns
+    and that neither its group nor others may write to."""
     try:
-        directory.mkdir(exist_ok=True)
+        st = os.lstat(directory)
+    except OSError:
+        return False
+    return stat.S_ISDIR(st.st_mode) and st.st_uid == uid and not st.st_mode & 0o022
+
+
+def _cache_dir():
+    """The directory the library is kept in; see the module docstring."""
+    import tempfile
+
+    uid = os.getuid()
+    try:
+        CACHE_DIR.mkdir(exist_ok=True)
     except OSError:
         pass
-    if not os.access(directory, os.W_OK):
-        directory = Path(tempfile.gettempdir())
+    if _private(CACHE_DIR, uid) and os.access(CACHE_DIR, os.W_OK):
+        return CACHE_DIR
+    directory = Path(tempfile.gettempdir()) / f"subspace_descent-{uid}"
+    try:
+        directory.mkdir(mode=0o700, exist_ok=True)
+    except OSError as exc:
+        raise KernelBuildError(f"cannot make {directory} for the step kernel: {exc}") from exc
+    if not _private(directory, uid):
+        raise KernelBuildError(
+            f"{directory} is not a directory owned by this user and closed to others; "
+            "the step kernel is neither built nor loaded there"
+        )
+    return directory
+
+
+def library():
+    """Path of the compiled kernel, built first if it is not cached."""
+    import hashlib
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = CC or shlex.split(sysconfig.get_config_var("CC") or "cc")
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(repr((cc, FLAGS)).encode() + source).hexdigest()[:16]
+    directory = _cache_dir()
     path = directory / f"_step.{key}.so"
     if path.exists():
         return path
     fd, partial = tempfile.mkstemp(prefix="_step.", suffix=".so.partial", dir=directory)
     os.close(fd)
-    command = [*CC, *FLAGS, "-o", partial, "-x", "c", "-", "-lm"]
+    command = [*cc, *FLAGS, "-o", partial, "-x", "c", "-", "-lm"]
     try:
         done = subprocess.run(command, input=source, capture_output=True, check=False)
     except OSError as exc:
         os.unlink(partial)
-        raise KernelBuildError(f"cannot run the C compiler {CC[0]!r}: {exc}") from exc
+        raise KernelBuildError(f"cannot run the C compiler {cc[0]!r}: {exc}") from exc
     if done.returncode != 0:
         os.unlink(partial)
         raise KernelBuildError(

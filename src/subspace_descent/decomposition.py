@@ -163,6 +163,7 @@ class Decomposition:
         pair = (rows[1:] - rows[:-1] if multi else step) == 1
         pair[offsets[1:-1] - 1] = False  # no pairs across subspaces
         self._pair = _frozen(pair, bool)  # rows t and t + 1 are neighbours in a run
+        del step, down  # not held through the pass below, where memory peaks
         self.scalars, galerkin = self.local_energies(metric)
         for i in galerkin:
             if np.linalg.matrix_rank(self.basis(i)[1]) != self.k[i]:

@@ -110,7 +110,12 @@ def _batches(kind, size, rng, cumulative, fetched):
     """Iterators over the stream's batches; ``fetched`` holds the number of
     indices made so far, the iterator over the current batch and the
     batch as an int64 array."""
-    sweep = np.arange(size, dtype=np.int64) if kind == "cyclic" else None
+    # consume() sets a batch iterator's position with __setstate__, which
+    # is absolute for list iterators (a range iterator's moves on from
+    # where it is in newer Pythons), so every kind iterates over a list.
+    if kind == "cyclic":
+        sweep = np.arange(size, dtype=np.int64)
+        sweep_list = sweep.tolist()
     while True:
         if kind == "cyclic":
             batch = sweep
@@ -123,7 +128,7 @@ def _batches(kind, size, rng, cumulative, fetched):
             batch = np.minimum(batch, size - 1)
         fetched[0] += batch.size
         fetched[2] = batch.astype(np.int64, copy=False)
-        fetched[1] = it = iter(range(size) if kind == "cyclic" else batch.tolist())
+        fetched[1] = it = iter(sweep_list if kind == "cyclic" else batch.tolist())
         yield it
 
 

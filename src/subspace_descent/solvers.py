@@ -51,8 +51,9 @@ by its index and read it from the flat arrays.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -87,6 +88,7 @@ METHODS = ("gd", "pgd", "rcd", "rbcd", "rfasd", "rfas")
 _GUARD_EPOCHS = 10
 _GUARD_GROWTH = 1e3
 _TINY, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
+_INT64_MAX = 2**63 - 1  # the kernel's iteration counter is an int64
 
 
 class DivergenceError(RuntimeError):
@@ -382,8 +384,14 @@ def run_solver(
         raise ValueError(f"unknown method {config.method!r}; choose from {METHODS}")
     if not config.tolerance > 0:
         raise ValueError("tolerance must be positive")
-    if config.max_iterations < 0:
+    cap = config.max_iterations
+    if isinstance(cap, float) and cap.is_integer():
+        cap = int(cap)
+    if not isinstance(cap, Integral) or isinstance(cap, bool):
+        raise ValueError(f"max_iterations must be a whole number, not {cap!r}")
+    if cap < 0:
         raise ValueError("max_iterations must be nonnegative")
+    config = replace(config, max_iterations=int(cap))
     if method not in ("gd", "pgd") and decomposition is None:
         raise ValueError(f"method {method!r} needs a decomposition")
     if (
@@ -421,7 +429,9 @@ class _Records:
 
     def _moved(self):
         if self.run is not None:
-            self.run.fs, self.run.gns, self.run.chosen = map(_kernel.address, self.arrays)
+            self.run.fs, self.run.gns, self.run.chosen = map(
+                _kernel.address, self.arrays, (np.float64, np.float64, np.int64)
+            )
 
     def reserve(self, size):
         """Make room for ``size`` states."""
@@ -604,8 +614,8 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     run = None
     if steps is not None:
         run = _kernel.Run(
-            *map(_kernel.address, (x, g, alpha, scalar)),
-            thr2=thr2, tau=tau, kmax=max_iterations, j=j,
+            *map(_kernel.address, (x, g, alpha, scalar), (np.float64,) * 3 + (np.uint8,)),
+            thr2=thr2, tau=tau, kmax=min(max_iterations, _INT64_MAX), j=j,
         )
         run_ref, layout_ref = ctypes.byref(run), ctypes.byref(binding.layout)
     record = _Records(min(max_iterations, 1024) + 1, run)
@@ -635,7 +645,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                 record.reserve(k + batch.size)
                 run.k, run.f, run.gn2, run.slack = k, f, gn2, slack
                 sampler.consume(
-                    steps(layout_ref, run_ref, _kernel.address(batch), batch.size)
+                    steps(layout_ref, run_ref, _kernel.address(batch, np.int64), batch.size)
                 )
                 k, f, gn2, slack = run.k, run.f, run.gn2, run.slack
                 if k % j == 0:

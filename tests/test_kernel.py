@@ -1,6 +1,8 @@
 """Building and loading the compiled step kernel."""
 
 import ctypes
+import os
+import tempfile
 
 import pytest
 
@@ -10,8 +12,12 @@ from subspace_descent.cli import main
 
 @pytest.fixture
 def fresh_build(tmp_path, monkeypatch):
-    """Build into an empty cache; the process reloads the real kernel after."""
+    """Build into an empty cache, with a temporary directory of its own;
+    the process reloads the real kernel after."""
+    (tmp_path / "cache").mkdir(mode=0o755)
+    (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     _kernel.load.cache_clear()
     yield tmp_path
     _kernel.load.cache_clear()
@@ -48,3 +54,28 @@ def test_changed_source_builds_a_new_library(fresh_build, monkeypatch):
     assert sorted(p.name for p in (fresh_build / "cache").iterdir()) == sorted(
         p.name for p in paths
     )
+
+
+def test_a_library_others_could_plant_is_never_loaded(fresh_build, monkeypatch):
+    name = _kernel.library().name
+    shared = fresh_build / "shared"
+    shared.mkdir()
+    shared.chmod(0o777)
+    (shared / name).write_bytes(b"planted by another user")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", shared)
+    path = _kernel.library()  # built again, in this user's own directory
+    own = fresh_build / "tmp" / f"subspace_descent-{os.getuid()}"
+    assert path == own / name and (own.stat().st_mode & 0o777) == 0o700
+    assert ctypes.CDLL(str(path)).scalar_steps
+    own.chmod(0o777)  # that one too is refused once others may write to it
+    with pytest.raises(_kernel.KernelBuildError, match="closed to others"):
+        _kernel.library()
+
+
+def test_a_directory_of_another_user_is_never_used(fresh_build, monkeypatch):
+    uid = os.getuid() + 1
+    monkeypatch.setattr(os, "getuid", lambda: uid)
+    # neither the cache nor subspace_descent-<uid>, both made by this user
+    with pytest.raises(_kernel.KernelBuildError, match=f"subspace_descent-{uid} is not"):
+        _kernel.load()
+    assert list((fresh_build / "cache").iterdir()) == []

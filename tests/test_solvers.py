@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -329,6 +331,25 @@ class TestRunSolver:
         )
         assert not tr.converged
         assert tr.iteration_count == 5
+
+    @pytest.mark.parametrize("method", ["rcd", "rbcd", "pgd"])
+    def test_max_iterations_must_be_whole(self, method):
+        # the same on every path, the compiled kernel's (rcd) included
+        obj = nesterov_worst(15)
+        d = multilevel_nodal_decomposition(4)
+        if method != "pgd":
+            blocks = [list(range(i, i + 3)) for i in range(0, 15, 3)]
+            d = coordinate_decomposition(15) if method == "rcd" else block_decomposition(
+                blocks, obj.hessian
+            )
+        for cap in (2.5, math.inf, math.nan, "7", True):
+            with pytest.raises(ValueError, match="whole number"):
+                run_solver(SolverConfig(method, max_iterations=cap), obj, d)
+        cfg = SolverConfig(method, sampler="cyclic", tolerance=1e-300)
+        whole = run_solver(SolverConfig(**{**vars(cfg), "max_iterations": 7.0}), obj, d)
+        seven = run_solver(SolverConfig(**{**vars(cfg), "max_iterations": np.int32(7)}), obj, d)
+        assert whole.iteration_count == seven.iteration_count == (2 if method == "pgd" else 7)
+        assert np.array_equal(whole.final_x, seven.final_x)
 
     def test_semidefinite_needs_opt_in(self):
         obj = nesterov_worst(6, 3, 2.0)
