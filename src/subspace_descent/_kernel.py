@@ -61,10 +61,16 @@ class Run(ctypes.Structure):
 
 
 def address(a, dtype):
-    """Address of the first entry of ``a``, which must be a C-contiguous
-    array of ``dtype``: the kernel reads it as such."""
-    if a.dtype != dtype or not a.flags.c_contiguous:
+    """Address of the first entry of ``a``, which must be a nonempty
+    C-contiguous array of ``dtype``: the kernel reads it as such."""
+    flags = a.flags
+    if a.dtype != dtype or not flags.c_contiguous:
         raise TypeError(f"the step kernel needs a C-contiguous {np.dtype(dtype)} array")
+    # A run binds seven writable arrays (x, g, alpha, scalar and its
+    # records); from_buffer takes a third of the time of a.ctypes, which
+    # is the only way for the decomposition's read-only ones.
+    if flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
     return a.ctypes.data
 
 

@@ -339,8 +339,11 @@ class TestRunSolver:
         d = multilevel_nodal_decomposition(4)
         if method != "pgd":
             blocks = [list(range(i, i + 3)) for i in range(0, 15, 3)]
-            d = coordinate_decomposition(15) if method == "rcd" else block_decomposition(
-                blocks, obj.hessian
+            d = with_quadratic_lipschitz(
+                coordinate_decomposition(15) if method == "rcd" else block_decomposition(
+                    blocks, obj.hessian
+                ),
+                obj.hessian,
             )
         for cap in (2.5, math.inf, math.nan, "7", True):
             with pytest.raises(ValueError, match="whole number"):
@@ -350,6 +353,8 @@ class TestRunSolver:
         seven = run_solver(SolverConfig(**{**vars(cfg), "max_iterations": np.int32(7)}), obj, d)
         assert whole.iteration_count == seven.iteration_count == (2 if method == "pgd" else 7)
         assert np.array_equal(whole.final_x, seven.final_x)
+        # past the kernel's int64 counter: no bound in effect, not a wrapped one
+        assert run_solver(SolverConfig(method, "cyclic", max_iterations=2**64), obj, d).converged
 
     def test_semidefinite_needs_opt_in(self):
         obj = nesterov_worst(6, 3, 2.0)
