@@ -247,6 +247,9 @@ class Decomposition:
                 raise ValueError("the applied basis needs a tridiagonal operator")
             (inner, vals), rows = cached[2], self.rows
             e = np.concatenate(([0.0], operator.bands[1], [0.0]))  # e[r] = e_{r-1}
+            if rows.size == len(self):  # one row per support: no runs to order
+                cached[2:4] = None, _one_row_stencils(rows, vals, inner, e)
+                return cached[3]
             cut = np.flatnonzero(~self._pair)  # runs of consecutive rows: lo..hi
             lo, hi = np.concatenate(([0], cut + 1)), np.concatenate((cut, [rows.size - 1]))
             # the entry behind each candidate: rows r - 1 of every lo, r of
@@ -421,6 +424,21 @@ def multilevel_nodal_decomposition(level, metric=None):
         vals[at:end].reshape(count, -1)[:] = 1.0 - np.abs(span) / stride
         at = end
     return Decomposition(metric, offsets, rows, vals, level=np.repeat(levels, counts))
+
+
+def _one_row_stencils(rows, vals, inner, e):
+    """``applied`` when every support is one row r: the general build's
+    ``v e_{r-1}``, ``inner`` and ``v e_r`` at rows r - 1, r and r + 1,
+    zeros dropped, without its sort (two thirds of its time for a
+    coordinate decomposition of 63)."""
+    row = rows[:, None] + np.array([-1, 0, 1])
+    val = np.empty(row.shape)
+    np.multiply(vals, e[rows], out=val[:, 0])
+    val[:, 1] = inner
+    np.multiply(vals, e[rows + 1], out=val[:, 2])
+    keep = val != 0.0
+    at = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
 
 
 # -- per-subspace quantities -------------------------------------------

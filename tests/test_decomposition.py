@@ -513,6 +513,24 @@ class TestAppliedBasis:
             err = np.abs(product - h.dense() @ p).max()
             assert err <= bound * np.linalg.norm(p, 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 63])
+    def test_one_row_supports_match_dense_stencil(self, n):
+        # coordinates, and scaled single rows out of order and repeated,
+        # under a band with zeros in it: the direct build, bit for bit
+        off = -(0.25 + 0.25 * (np.arange(n - 1) % 3)) * (np.arange(n - 1) % 4 != 1)
+        h = SpdOperator.tridiagonal(2.0 + np.arange(n) % 5, off)
+        rows = np.concatenate((np.arange(n), np.arange(n)[::-1], [n // 2]))
+        scattered = Decomposition(
+            h, np.arange(rows.size + 1), rows, np.linspace(-1.5, 2.5, rows.size) + 0.1
+        )
+        for d in (coordinate_decomposition(n), scattered):
+            offsets, got_rows, got_vals = d.applied(h)
+            for i in range(len(d)):
+                col = h.dense() @ prolongation(d, i)[:, 0]
+                at = slice(offsets[i], offsets[i + 1])
+                assert got_rows[at].tolist() == np.flatnonzero(col).tolist()
+                assert got_vals[at].tolist() == col[col != 0].tolist()
+
     def test_cached_with_the_energies(self):
         d = mixed_family()
         h = random_tridiagonal(7, seed=1)
