@@ -48,7 +48,7 @@ class Layout(ctypes.Structure):
     """Per-decomposition arguments; see ``_step.c``."""
 
     _fields_ = [(name, _P) for name in (
-        "start", "offsets", "vals", "scalars", "energies", "aoffsets", "arows", "avals"
+        "offsets", "rows", "vals", "scalars", "energies", "aoffsets", "arows", "avals"
     )]
 
 
@@ -61,16 +61,10 @@ class Run(ctypes.Structure):
 
 
 def address(a, dtype):
-    """Address of the first entry of ``a``, which must be a nonempty
-    C-contiguous array of ``dtype``: the kernel reads it as such."""
-    flags = a.flags
-    if a.dtype != dtype or not flags.c_contiguous:
+    """Address of the first entry of ``a``, which must be a C-contiguous
+    array of ``dtype``: the kernel reads it as such."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
         raise TypeError(f"the step kernel needs a C-contiguous {np.dtype(dtype)} array")
-    # A run binds seven writable arrays (x, g, alpha, scalar and its
-    # records); from_buffer takes a third of the time of a.ctypes, which
-    # is the only way for the decomposition's read-only ones.
-    if flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
     return a.ctypes.data
 
 
@@ -86,11 +80,14 @@ class Binding:
 
     def __init__(self, d, hessian, applied):
         offsets, rows = d.offsets, d.rows
-        start = rows[offsets[:-1]]
-        contiguous = rows[offsets[1:] - 1] + 1 - start == offsets[1:] - offsets[:-1]
-        self.scalar = ((d.k == 1) & contiguous).view(np.uint8)
+        if rows.size == len(d):  # one row per support: all scalar
+            self.scalar = np.ones(len(d), dtype=np.uint8)
+        else:
+            width = offsets[1:] - offsets[:-1]
+            contiguous = rows[offsets[1:] - 1] - rows[offsets[:-1]] == width - 1
+            self.scalar = ((d.k == 1) & contiguous).view(np.uint8)
         self.applied = applied
-        self._arrays = (start, offsets, d.vals, d.scalars, d.local_energies(hessian)[0])
+        self._arrays = (offsets, rows, d.vals, d.scalars, d.local_energies(hessian)[0])
         self._arrays += applied
         types = (np.int64,) * 2 + (np.float64,) * 3 + (np.int64,) * 2 + (np.float64,)
         self.layout = Layout(*map(address, self._arrays, types))

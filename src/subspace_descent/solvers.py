@@ -385,13 +385,14 @@ def run_solver(
     if not config.tolerance > 0:
         raise ValueError("tolerance must be positive")
     cap = config.max_iterations
-    if isinstance(cap, float) and cap.is_integer():
-        cap = int(cap)
-    if not isinstance(cap, Integral) or isinstance(cap, bool):
-        raise ValueError(f"max_iterations must be a whole number, not {cap!r}")
+    if type(cap) is not int:  # a whole number of another type becomes an int
+        if isinstance(cap, float) and cap.is_integer():
+            cap = int(cap)
+        if not isinstance(cap, Integral) or isinstance(cap, bool):
+            raise ValueError(f"max_iterations must be a whole number, not {cap!r}")
+        config = replace(config, max_iterations=int(cap))
     if cap < 0:
         raise ValueError("max_iterations must be nonnegative")
-    config = replace(config, max_iterations=int(cap))
     if method not in ("gd", "pgd") and decomposition is None:
         raise ValueError(f"method {method!r} needs a decomposition")
     if (

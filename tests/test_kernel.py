@@ -4,10 +4,14 @@ import ctypes
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
+from packing import mixed_family
 from subspace_descent import _kernel
 from subspace_descent.cli import main
+from subspace_descent.decomposition import Decomposition, coordinate_decomposition
+from subspace_descent.linalg import dirichlet_laplacian
 
 
 @pytest.fixture
@@ -79,3 +83,24 @@ def test_a_directory_of_another_user_is_never_used(fresh_build, monkeypatch):
     with pytest.raises(_kernel.KernelBuildError, match=f"subspace_descent-{uid} is not"):
         _kernel.load()
     assert list((fresh_build / "cache").iterdir()) == []
+
+
+def test_address_checks_dtype_and_layout_and_never_copies():
+    a = np.arange(6.0)
+    frozen = a[2:]
+    frozen.flags.writeable = False
+    assert _kernel.address(a, np.float64) == a.ctypes.data
+    assert _kernel.address(frozen, np.float64) == a.ctypes.data + 2 * a.itemsize
+    for wrong, dtype in ((a, np.int64), (a[::2], np.float64), (a.astype(np.float32), np.float64)):
+        with pytest.raises(TypeError, match="C-contiguous"):
+            _kernel.address(wrong, dtype)
+
+
+def test_the_kernel_takes_one_column_contiguous_supports_only():
+    h = dirichlet_laplacian(7)
+    d = mixed_family()  # 11 hats, a k = 2 block and basis, then the gap {0, 3, 5}
+    assert _kernel.bind(d, h).scalar.tolist() == [1] * 11 + [0, 0, 0]
+    coordinates = coordinate_decomposition(7)
+    assert _kernel.bind(coordinates, h).scalar.tolist() == [1] * 7
+    scattered = Decomposition(h, [0, 1, 2, 3], [0, 2, 6], [1.0, 2.0, -1.0])
+    assert _kernel.bind(scattered, h).scalar.tolist() == [1] * 3
