@@ -13,8 +13,8 @@
 #include <stdint.h>
 
 typedef struct {
-    const int64_t *offsets;  /* subspace i owns entries offsets[i] to offsets[i + 1] - 1 */
-    const int64_t *rows;     /* of rows and vals; its support starts at rows[offsets[i]] */
+    const int64_t *start;    /* first support row of each subspace */
+    const int64_t *offsets;  /* subspace i owns vals[offsets[i]:offsets[i + 1]] */
     const double *vals;
     const double *scalars;   /* A_i = v^T A v */
     const double *energies;  /* h_i = v^T H v */
@@ -43,7 +43,7 @@ int64_t scalar_steps(const Layout *L, Run *R, const int64_t *batch, int64_t m)
     double f = R->f, gn2 = R->gn2, slack = R->slack;
     int64_t k = R->k, t = 0;
     while (t < m && k < R->kmax && R->scalar[batch[t]]) {
-        int64_t i = batch[t], b = L->rows[L->offsets[i]];
+        int64_t i = batch[t], b = L->start[i];
         const double *v = L->vals + L->offsets[i];
         int64_t w = L->offsets[i + 1] - L->offsets[i];
         R->fs[k] = f;
