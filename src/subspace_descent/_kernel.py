@@ -56,8 +56,8 @@ class Run(ctypes.Structure):
     """Per-run arguments and the state the kernel carries; see ``_step.c``."""
 
     _fields_ = [(name, _P) for name in ("x", "g", "alpha", "scalar", "fs", "gns", "chosen")]
-    _fields_ += [(name, ctypes.c_double) for name in ("f", "gn2", "slack", "thr2", "tau")]
-    _fields_ += [(name, ctypes.c_int64) for name in ("k", "kmax", "j")]
+    _fields_ += [(n, ctypes.c_double) for n in ("f", "gn2", "slack", "thr2", "tau", "ref", "prev")]
+    _fields_ += [(n, ctypes.c_int64) for n in ("k", "kmax", "j", "n", "streak", "pending")]
 
 
 def address(a, dtype):
@@ -177,8 +177,10 @@ def library():
 
 @functools.cache
 def load():
-    """``scalar_steps(layout, run, batch, m)`` from the compiled kernel."""
-    steps = ctypes.CDLL(str(library())).scalar_steps
-    steps.argtypes = (ctypes.POINTER(Layout), ctypes.POINTER(Run), _P, ctypes.c_int64)
-    steps.restype = ctypes.c_int64
-    return steps
+    """``scalar_steps(layout, run, batch, m)`` and ``sum_squares(g, n)``."""
+    lib = ctypes.CDLL(str(library()))
+    lib.scalar_steps.argtypes = (ctypes.POINTER(Layout), ctypes.POINTER(Run), _P, ctypes.c_int64)
+    lib.scalar_steps.restype = ctypes.c_int64
+    lib.sum_squares.argtypes = (_P, ctypes.c_int64)
+    lib.sum_squares.restype = ctypes.c_double
+    return lib.scalar_steps, lib.sum_squares

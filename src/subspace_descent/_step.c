@@ -4,8 +4,11 @@
  * support [b, b + w).  A step sums g_i = v . g over the support left to
  * right, adds c v to x with c = alpha_i (-g_i / A_i), adds
  * c g_i + c^2 h_i / 2 to f, and adds c (H v) to g at the nonzero rows of
- * H v, carrying ||g||^2 and its rounding slack.  The arithmetic is
- * that of the loop in solvers.py, in the same order; build without
+ * H v, carrying ||g||^2 and its rounding slack.  At an epoch boundary
+ * where f is finite and has not risen, it ends the divergence guard's
+ * streak (ref = prev = f) and sets ||g||^2 with sum_squares; any other
+ * boundary it leaves pending to the guard in solvers.py.  The
+ * arithmetic is that of the loop there, in the same order; build without
  * floating-point contraction (-ffp-contract=off) so that it rounds the
  * same way on every platform.
  */
@@ -30,18 +33,29 @@ typedef struct {
     double *fs, *gns;        /* records of the state before each step */
     int64_t *chosen;
     double f, gn2, slack, thr2, tau;
-    int64_t k, kmax, j;
+    double ref, prev;        /* the divergence guard's state, and its streak */
+    int64_t k, kmax, j, n, streak, pending;
 } Run;
+
+/* The exact ||g||^2 of the solver loop: g[0:n] squared, summed left to right. */
+double sum_squares(const double *g, int64_t n)
+{
+    double s = 0.0;
+    for (int64_t r = 0; r < n; r++)
+        s += g[r] * g[r];
+    return s;
+}
 
 /* Take the steps of batch[0:m] in order from iteration R->k; stop before
  * an index that is not scalar or at kmax, and after a step that ends an
- * epoch or leaves the carried norm within its rounding band of the
- * threshold.  Returns the number of steps taken. */
+ * epoch left pending or leaves the carried norm within its rounding
+ * band of the threshold.  Returns the number of steps taken. */
 int64_t scalar_steps(const Layout *L, Run *R, const int64_t *batch, int64_t m)
 {
     double *x = R->x, *g = R->g;
     double f = R->f, gn2 = R->gn2, slack = R->slack;
     int64_t k = R->k, t = 0;
+    R->pending = 0;
     while (t < m && k < R->kmax && R->scalar[batch[t]]) {
         int64_t i = batch[t], b = L->start[i];
         const double *v = L->vals + L->offsets[i];
@@ -67,7 +81,14 @@ int64_t scalar_steps(const Layout *L, Run *R, const int64_t *batch, int64_t m)
         slack += s_new + s_old;
         k++;
         t++;
-        if (k % R->j == 0 || gn2 <= R->thr2 + R->tau * (slack + R->thr2))
+        if (k % R->j == 0) {
+            if ((R->pending = !(isfinite(f) && f <= R->prev)))
+                break;
+            R->streak = 0;
+            R->ref = R->prev = f;
+            gn2 = slack = sum_squares(g, R->n);
+        }
+        if (gn2 <= R->thr2 + R->tau * (slack + R->thr2))
             break;
     }
     R->f = f;

@@ -12,7 +12,7 @@ Four sampling disciplines over ``{0, ..., J-1}``:
     of every epoch (J consecutive draws), served in order.
 ``cyclic``
     Deterministic sweep 0, 1, ..., J-1, 0, 1, ...; consumes no
-    randomness.
+    randomness.  A batch holds ``max(1, 1024 // J)`` whole sweeps.
 
 All randomness comes from ``numpy.random.default_rng`` (the PCG64 bit
 generator), so streams are reproducible across platforms for a fixed
@@ -113,8 +113,8 @@ def _batches(kind, size, rng, cumulative, fetched):
     # consume() sets a batch iterator's position with __setstate__, which
     # is absolute for list iterators (a range iterator's moves on from
     # where it is in newer Pythons), so every kind iterates over a list.
-    if kind == "cyclic":
-        sweep = np.arange(size, dtype=np.int64)
+    if kind == "cyclic":  # whole sweeps, about _BATCH indices a batch
+        sweep = np.arange(size * max(1, _BATCH // size), dtype=np.int64) % size
         sweep_list = sweep.tolist()
     while True:
         if kind == "cyclic":

@@ -33,27 +33,32 @@ multilevel hat), and ``||g||^2`` is carried too, which makes a step
 O(support size).  There the scalar steps (a canonical k = 1 subspace on
 a contiguous support) run in the compiled kernel ``_step.c``, one
 sampler batch at a time: it sums g_i left to right, adds c v_i to x,
-``c g_i + c^2 h_i / 2`` to f and c (H v_i) to g, and hands back to this
-loop at an epoch boundary, when the carried norm nears the threshold,
-at ``max_iterations`` and before any other step.  Every other step
+``c g_i + c^2 h_i / 2`` to f and c (H v_i) to g.  At an epoch boundary
+where f has not risen it does the divergence guard's bookkeeping and
+the exact resync itself; it hands back to this loop at any other
+boundary, when the carried norm nears the threshold, at
+``max_iterations`` and before any other step.  Every other step
 (blocks, other supports, non-canonical ``rfas`` steps, and all steps
 under a dense Hessian or of a non-quadratic objective) is the general
 P_i delta step in numpy.  The carried norm is set exactly from g at
-every epoch boundary, and the stopping test uses the exact norm
-whenever the carried one is within its rounding bound of the
-threshold.  A run stops as converged only if the true gradient at the
-final iterate meets the tolerance; if it does not, g, f and the norm
-are resynced from it and the run goes on.  The loop and the
-single-step reference functions address subspace i of a decomposition
-by its index and read it from the flat arrays.
+every epoch boundary (by the kernel's left-to-right sum in a run that
+has it), and the stopping test uses the exact norm whenever the
+carried one is within its rounding bound of the threshold.  A run
+stops as converged only if the true gradient at the final iterate
+meets the tolerance; if it does not, g, f and the norm are resynced
+from it and the run goes on.  The loop and the single-step reference
+functions address subspace i of a decomposition by its index and read
+it from the flat arrays.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field, replace
+from functools import partial
 from math import isfinite, sqrt
 from numbers import Integral
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -476,33 +481,33 @@ def _finish(record, k, config, j, converged, x, objective):
 
 
 class _Guard:
-    """Epoch-boundary divergence watchdog."""
+    """Epoch-boundary divergence watchdog.  Its ``ref``, ``prev`` and
+    ``streak`` live on ``state``, which may be the kernel's ``Run``: the
+    kernel takes the else branch of :meth:`check` itself."""
 
-    def __init__(self, f0):
-        self.ref = f0
-        self.prev = f0
-        self.streak = 0
+    def __init__(self, f0, state=None):
+        self.state = s = SimpleNamespace() if state is None else state
+        s.ref, s.prev, s.streak = f0, f0, 0
 
     def check(self, f, k):
+        s = self.state
         if not isfinite(f):
             raise DivergenceError(
                 f"objective is no longer finite at iteration {k}; "
                 "the step size is too large for this problem"
             )
-        if f > self.prev:
-            self.streak += 1
-            if self.streak >= _GUARD_EPOCHS and f > _GUARD_GROWTH * max(
-                abs(self.ref), _TINY
-            ):
+        if f > s.prev:
+            s.streak += 1
+            if s.streak >= _GUARD_EPOCHS and f > _GUARD_GROWTH * max(abs(s.ref), _TINY):
                 raise DivergenceError(
-                    f"objective rose for {self.streak} consecutive epochs "
-                    f"(iteration {k}, f {self.ref:.6e} -> {f:.6e}); "
+                    f"objective rose for {s.streak} consecutive epochs "
+                    f"(iteration {k}, f {s.ref:.6e} -> {f:.6e}); "
                     "the step size is too large for this problem"
                 )
         else:
-            self.streak = 0
-            self.ref = f
-        self.prev = f
+            s.streak = 0
+            s.ref = f
+        s.prev = f
 
 
 def _run_full_space(config, objective, decomposition, x):
@@ -582,7 +587,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             aoff, arows, avals = binding.applied
             scalar = binding.scalar if canonical.all() else binding.scalar & canonical
             if scalar.any():
-                steps = _kernel.load()
+                steps, sum_squares = _kernel.load()
         else:
             hdense = h.dense() if isinstance(h, SpdOperator) else np.asarray(h, float)
         hscal, hgal = d.local_energies(h)
@@ -603,11 +608,15 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     if g.shape != (n,):  # the kernel writes g in place
         raise DimensionMismatchError(f"gradient has shape {g.shape}, expected ({n},)")
     f = objective.value(x)
-    # gn2 = ||g||^2 is carried through banded updates and set from g @ g
-    # at each epoch boundary.  Its rounding error stays below tau * slack
+    # gn2 = ||g||^2 is carried through banded updates and set exactly at
+    # each epoch boundary.  Its rounding error stays below tau * slack
     # (slack: gn2 when last exact plus every square added or removed
-    # since), so within that band of the threshold the test uses g @ g.
-    gn2 = slack = float(g @ g)
+    # since), so within that band of the threshold the test uses norm2.
+    if steps is not None:
+        norm2 = partial(sum_squares, _kernel.address(g, np.float64), n)
+    else:
+        norm2 = lambda: float(g @ g)  # noqa: E731 (the loop may rebind g)
+    gn2 = slack = norm2()
     threshold = config.tolerance * sqrt(gn2)
     thr2 = threshold * threshold
     tau = 4.0 * (n + j) * _EPS
@@ -616,23 +625,26 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     if steps is not None:
         run = _kernel.Run(
             *map(_kernel.address, (x, g, alpha, scalar), (np.float64,) * 3 + (np.uint8,)),
-            thr2=thr2, tau=tau, kmax=min(max_iterations, _INT64_MAX), j=j,
+            thr2=thr2, tau=tau, kmax=min(max_iterations, _INT64_MAX), j=j, n=n,
         )
         run_ref, layout_ref = ctypes.byref(run), ctypes.byref(binding.layout)
     record = _Records(min(max_iterations, 1024) + 1, run)
-    guard = _Guard(f)
+    guard = _Guard(f, run)
 
     k = 0
-    converged = False
+    converged = pending = False  # pending: an epoch boundary to check
     next_index = sampler.next_index
     while True:
+        if pending:
+            guard.check(f, k)
+            gn2 = slack = norm2()
         if gn2 <= thr2 + tau * (slack + thr2):
-            gn2 = slack = float(g @ g)
+            gn2 = slack = norm2()
             if sqrt(gn2) <= threshold:
                 # Converged only if the true gradient meets the tolerance;
                 # otherwise resync from it and go on.
                 g[:] = objective.gradient(x)
-                gn2 = slack = float(g @ g)
+                gn2 = slack = norm2()
                 converged = sqrt(gn2) <= threshold
                 if not converged:
                     f = objective.value(x)
@@ -648,10 +660,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                 sampler.consume(
                     steps(layout_ref, run_ref, _kernel.address(batch, np.int64), batch.size)
                 )
-                k, f, gn2, slack = run.k, run.f, run.gn2, run.slack
-                if k % j == 0:
-                    guard.check(f, k)
-                    gn2 = slack = float(g @ g)
+                k, f, gn2, slack, pending = run.k, run.f, run.gn2, run.slack, run.pending
                 continue
         # Any other step adds P_i delta to x.
         i = next_index()
@@ -686,8 +695,6 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
             g, f = objective.gradient(x), objective.value(x)
             gn2 = float(g @ g)
         k += 1
-        if k % j == 0:
-            guard.check(f, k)
-            gn2 = slack = float(g @ g)
+        pending = k % j == 0
     record.put(k, f, sqrt(gn2))
     return _finish(record, k, config, j, converged, x, objective)

@@ -177,7 +177,8 @@ class TestBatches:
     @pytest.mark.parametrize("size", [1, 7, 1500])
     def test_batches_and_single_draws_share_one_stream(self, kind, size):
         # random mixes of next_index and batch/consume, across many batch
-        # boundaries (J for permutation and cyclic, 1024 for the others)
+        # boundaries (J for permutation, max(1, 1024 // J) sweeps for
+        # cyclic, 1024 for the others)
         expected = draws(sampler_of(kind, size, 9), 9000)
         s, got, mix = sampler_of(kind, size, 9), [], np.random.default_rng(size)
         while len(got) < 6000:
@@ -192,6 +193,15 @@ class TestBatches:
                 s.consume(used)
             assert s.draw_count == len(got)
         assert got == expected[: len(got)]
+
+    @pytest.mark.parametrize("size, sweeps", [(1, 1024), (63, 16), (512, 2), (513, 1), (1500, 1)])
+    def test_cyclic_batches_are_whole_sweeps(self, size, sweeps):
+        s = sampler_of("cyclic", size, 0)
+        for _ in range(3):
+            batch = s.batch()
+            assert batch.tolist() == list(range(size)) * sweeps
+            s.consume(batch.size)
+        assert s.draw_count == 3 * size * sweeps
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_whole_batches(self, kind):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,6 +322,81 @@ class TestRunSolver:
                     SolverConfig(method="rfasd", sampler="cyclic"), obj, bad
                 )
 
+    @pytest.mark.parametrize(
+        "method, sampler, message",
+        [
+            ("rcd", "cyclic", "objective is no longer finite at iteration 63"),
+            ("rcd", "uniform", "objective is no longer finite at iteration 378"),
+            ("rbcd", "cyclic", "objective is no longer finite at iteration 320"),
+            ("rbcd", "uniform", "objective is no longer finite at iteration 256"),
+        ],
+        ids=("rcd-cyclic", "rcd-uniform", "rbcd-cyclic", "rbcd-uniform"),
+    )
+    def test_divergence_guard_on_a_non_finite_objective(self, method, sampler, message):
+        # step 1e9 / L_i: rcd takes every step in the kernel, rbcd with
+        # 2-blocks ends epochs on both branches
+        self.assert_diverges(method, sampler, 1e-9, message + "; ")
+
+    @pytest.mark.parametrize(
+        "method, sampler, message",
+        [
+            ("rcd", "cyclic", "rose for 65 consecutive epochs (iteration 4095, "
+             "f 5.000000e-01 -> 1.789918e+03)"),
+            ("rcd", "uniform", "rose for 32 consecutive epochs (iteration 2016, "
+             "f 5.000000e-01 -> 5.892521e+02)"),
+            ("rbcd", "cyclic", "rose for 10 consecutive epochs (iteration 384, "
+             "f 6.665716e-01 -> 7.638158e+02)"),
+            ("rbcd", "uniform", "rose for 11 consecutive epochs (iteration 640, "
+             "f 2.328860e+02 -> 1.220180e+06)"),
+        ],
+        ids=("rcd-cyclic", "rcd-uniform", "rbcd-cyclic", "rbcd-uniform"),
+    )
+    def test_divergence_guard_on_a_rising_streak(self, method, sampler, message):
+        # step 2.5 / L_i; the rbcd uniform streak starts after falls
+        self.assert_diverges(method, sampler, 0.4, "objective " + message + "; ")
+
+    @staticmethod
+    def assert_diverges(method, sampler, scale, message):
+        obj, d = build_problem(ExperimentSpec(n=63, method=method, block_size=2))
+        bad = with_local_lipschitz(d, d.lipschitz * scale)
+        cfg = SolverConfig(method=method, sampler=sampler, seed=3, max_iterations=20000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as caught:
+                run_solver(cfg, obj, bad)
+        assert str(caught.value) == message + "the step size is too large for this problem"
+
+    def test_kernel_ends_open_streaks_as_the_guard_does(self, monkeypatch):
+        # At step 2.44 / L_i the objective of rcd rises for up to 10 epochs
+        # in a row and falls again, without a thousandfold growth.  The
+        # kernel takes the falling boundaries, the guard the rising ones:
+        # capped at each boundary, the state left is that of the guard
+        # alone over the recorded objective values.
+        guards = []
+
+        class Spy(solvers._Guard):
+            def __init__(self, *args):
+                super().__init__(*args)
+                guards.append(self)
+
+        monkeypatch.setattr(solvers, "_Guard", Spy)
+        obj, d = build_problem(ExperimentSpec(n=63, method="rcd"))
+        d = with_local_lipschitz(d, d.lipschitz * 0.41)
+        cfg = SolverConfig(method="rcd", sampler="uniform", seed=3, max_iterations=63 * 200)
+        f = run_solver(cfg, obj, d).objective_values[::63]
+        replay, states, reopened = solvers._Guard(f[0]), [], 0
+        for e in range(1, f.size):
+            streak = replay.state.streak
+            replay.check(f[e], 63 * e)
+            states.append(vars(replay.state).copy())
+            reopened += streak >= 2 and replay.state.streak == 0
+        assert reopened > 10 and max(s["streak"] for s in states) == 10
+        for e in range(1, f.size, 7):
+            guards.clear()
+            run_solver(replace(cfg, max_iterations=63 * e), obj, d)
+            state = guards[0].state
+            kept = dict(ref=state.ref, prev=state.prev, streak=state.streak)
+            assert kept == states[e - 1]
+
     def test_max_iterations_flags_not_converged(self):
         obj = nesterov_worst(15)
         d = multilevel_nodal_decomposition(4)
@@ -593,6 +669,8 @@ class TestScalarStepAndStop:
             ("rfasd", "permutation", 3 * 26 + 5),  # just past one
             ("rcd", "permutation", 5 * 15),  # on an epoch and a batch boundary
             ("rcd", "proportional", 1024),  # at the end of a batch
+            ("rcd", "cyclic", 10 * 15),  # on an epoch boundary inside a batch of 68 sweeps
+            ("rcd", "cyclic", 68 * 15),  # at the end of that batch
         ],
     )
     def test_max_iterations_stops_anywhere(self, method, sampler, cap, monkeypatch):
