@@ -33,8 +33,8 @@ typedef struct {
     double *fs, *gns;        /* records of the state before each step */
     int64_t *chosen;
     double f, gn2, slack, thr2, tau;
-    double ref, prev;        /* the divergence guard's state, and its streak */
-    int64_t k, kmax, j, n, streak, pending;
+    double ref, prev;        /* the divergence guard's state, with streak */
+    int64_t k, kmax, j, n, streak, pending;  /* pending: a boundary left to the guard */
 } Run;
 
 /* The exact ||g||^2 of the solver loop: g[0:n] squared, summed left to right. */
