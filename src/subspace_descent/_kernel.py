@@ -86,12 +86,9 @@ class Binding:
 
     def __init__(self, d, hessian, applied):
         offsets, rows = d.offsets, d.rows
-        if rows.size == len(d):  # one row per support: all scalar
-            start, self.scalar = rows, np.ones(len(d), dtype=np.uint8)
-        else:
-            start = rows[offsets[:-1]]
-            contiguous = rows[offsets[1:] - 1] + 1 - start == offsets[1:] - offsets[:-1]
-            self.scalar = ((d.k == 1) & contiguous).view(np.uint8)
+        start = rows[offsets[:-1]]
+        contiguous = rows[offsets[1:] - 1] + 1 - start == offsets[1:] - offsets[:-1]
+        self.scalar = ((d.k == 1) & contiguous).view(np.uint8)
         self.applied = applied
         self._arrays = (start, offsets, d.vals, d.scalars, d.local_energies(hessian)[0])
         self._arrays += applied
@@ -103,9 +100,9 @@ def bind(d, hessian):
     """:class:`Binding` of ``d`` under ``hessian``, cached next to ``applied``."""
     applied = d.applied(hessian)  # also makes the cache the one of hessian
     cached = d._energies
-    if cached[4] is None:
-        cached[4] = Binding(d, hessian, applied)
-    return cached[4]
+    if cached.binding is None:
+        cached.binding = Binding(d, hessian, applied)
+    return cached.binding
 
 
 def _private(directory, uid):

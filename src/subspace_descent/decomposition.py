@@ -21,12 +21,15 @@ Index convention: all supports, basis rows, and subspace indices are
 from __future__ import annotations
 
 import copy
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .linalg import (
     DENSE_EIG_LIMIT,
+    PIVOT_RTOL,
     DimensionMismatchError,
     SpdOperator,
     as_vector,
@@ -48,32 +51,21 @@ __all__ = [
 
 
 def _galerkin(m, support, basis):
-    """``B^T M[S, S] B`` as a dense (k, k) array; banded M stays banded."""
-    if isinstance(m, SpdOperator) and m.is_banded:
-        d, e = m.bands
-        out = basis.T @ (d[support, None] * basis)
-        p = np.flatnonzero(np.diff(support) == 1)
-        cross = basis[p].T @ (e[support[p], None] * basis[p + 1])
-        return out + (cross + cross.T)
-    m = m.dense() if isinstance(m, SpdOperator) else np.asarray(m, dtype=np.float64)
+    """``B^T M[S, S] B`` of a dense M, as a dense (k, k) array."""
     return basis.T @ m[np.ix_(support, support)] @ basis
 
 
-def _banded_rows(m, support, basis, at):
-    """``(at, rows, vals)``: the nonzero rows of the banded ``M P`` for
-    P = basis on support, laid out as a basis (zeros in those rows kept),
-    all behind entry ``at``; row r is
-    ``(d_r p_r + e_r p_{r+1}) + e_{r-1} p_{r-1}``."""
-    d, e = m.bands
-    lo, hi = max(support[0] - 1, 0), min(support[-1] + 2, d.size)
-    w = np.zeros((hi - lo, basis.shape[1]))
-    w[support - lo] = basis
-    out = d[lo:hi, None] * w
-    out[:-1] += e[lo : hi - 1, None] * w[1:]
-    out[1:] += e[lo : hi - 1, None] * w[:-1]
-    keep = np.flatnonzero(out.any(axis=1))
-    vals = out[keep].ravel()
-    return np.full(vals.size, at), np.repeat(keep + lo, w.shape[1]), vals
+def _inverses(stack):
+    """Inverses of a stack of symmetric matrices; ValueError unless each has
+    Cholesky pivots above ``PIVOT_RTOL`` of its largest diagonal entry."""
+    try:
+        factor = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        factor = np.zeros_like(stack)
+    pivots, scale = (np.diagonal(a, axis1=1, axis2=2) for a in (factor, stack))
+    if (pivots**2 <= PIVOT_RTOL * scale.max(axis=1, keepdims=True)).any():
+        raise ValueError("basis columns are linearly dependent")
+    return np.linalg.inv(stack)
 
 
 def _columns(offsets, k):
@@ -87,6 +79,18 @@ def _frozen(a, dtype):
     a = np.asarray(a, dtype=dtype).view()  # the caller's array stays writeable
     a.flags.writeable = False
     return a
+
+
+@dataclass
+class _Energies:
+    """One operator's cached pass, and what ``applied`` and ``_kernel.bind`` build."""
+
+    operator: object
+    scalars: np.ndarray
+    stacks: dict
+    passes: list | None
+    applied: tuple | None = None
+    binding: object = None
 
 
 class Decomposition:
@@ -106,16 +110,16 @@ class Decomposition:
     lengths divisible by k; rows inside the metric's range; supports
     strictly increasing; no zero k = 1 column and full column rank
     where k > 1; finite values and positive Lipschitz constants
-    (``ValueError``).  It then computes the local matrices in one
-    :meth:`local_energies` pass: ``scalars[i]`` is A_i where k = 1 (NaN
-    elsewhere) and ``blocks`` maps each i with k > 1 to its SpdOperator.
-    All arrays are read-only and shared by copies.
+    (``ValueError``).  One :meth:`local_energies` pass gives ``scalars``,
+    A_i where k = 1 (NaN elsewhere); ``groups[k]`` lists the subspaces
+    of each k > 1, and ``matrices[k]`` and ``inverses[k]`` stack their
+    A_i and A_i^{-1} as (nb, k, k) arrays, checked by one batched
+    Cholesky factorization.  All arrays are read-only, shared by copies.
 
-    :meth:`basis` is the one per-subspace accessor.  The flat kernel
+    :meth:`basis` and :meth:`local` read one subspace.  The flat kernel
     (:meth:`restrict`, :meth:`solve_local`, :meth:`apply_local`,
     :meth:`prolong`) works on all subspaces at once, on coefficient
-    vectors in which subspace i owns the k[i] consecutive slots
-    ``slots[i]:slots[i+1]``.
+    vectors in which subspace i owns slots ``slots[i]:slots[i+1]``.
     """
 
     def __init__(self, metric, offsets, rows, vals, k=None, lipschitz=None, level=None):
@@ -160,127 +164,125 @@ class Decomposition:
         self.k, self.lipschitz, self.level = k, lipschitz, level
         self.slots = _frozen(np.concatenate(([0], np.cumsum(k))), np.intp)
         self._stability = self._energies = self._entry = None
-        pair = (rows[1:] - rows[:-1] if multi else step) == 1
-        pair[offsets[1:-1] - 1] = False  # no pairs across subspaces
-        self._pair = _frozen(pair, bool)  # rows t and t + 1 are neighbours in a run
+        # pair[t]: entry t + k[i] lies in the same run, one row below t
+        if multi:
+            below = np.arange(rows.size) + np.repeat(k, sizes)
+            pair = below < np.repeat(offsets[1:], sizes)
+            pair[pair] = rows[below[pair]] - rows[pair] == 1
+        else:
+            pair = np.zeros(rows.size, bool)
+            np.equal(step, 1, out=pair[:-1])
+            pair[offsets[1:-1] - 1] = False  # no pairs across subspaces
+        self._pair = _frozen(pair, bool)
+        kinds = np.unique(k).tolist() if multi else []
+        self.groups = {c: _frozen(np.flatnonzero(k == c), np.intp) for c in kinds if c > 1}
         del step, down  # not held through the pass below, where memory peaks
-        self.scalars, galerkin = self.local_energies(metric)
-        for i in galerkin:
-            if np.linalg.matrix_rank(self.basis(i)[1]) != self.k[i]:
-                raise ValueError("basis columns are linearly dependent")
-        self.blocks = {i: SpdOperator.from_dense(m) for i, m in galerkin.items()}
+        self.scalars, local = self.local_energies(metric)
         if not (self.scalars[k == 1] > 0).all():
             raise ValueError("basis column is zero")
+        # exactly symmetric, as the A_i are
+        self.matrices = {c: _frozen(0.5 * (m + m.mT), np.float64) for c, m in local.items()}
+        self.inverses = {c: _frozen(_inverses(m), np.float64) for c, m in self.matrices.items()}
 
     def basis(self, i):
         """Support and (support, k) basis of subspace i, as array views."""
         a, b, k = int(self.offsets[i]), int(self.offsets[i + 1]), int(self.k[i])
         return self.rows[a:b:k], self.vals[a:b].reshape(-1, k)
 
+    def local(self, i, energies=None):
+        """Subspace i's (k, k) view in a ``(scalars, stacks)`` pair (default the A_i)."""
+        scalars, stacks = (self.scalars, self.matrices) if energies is None else energies
+        k = int(self.k[i])
+        if k == 1:
+            return scalars[i : i + 1, None]
+        return stacks[k][int(np.searchsorted(self.groups[k], i))]
+
+    def _group(self, c):
+        """``(index, sel, starts, rows, vals, pair)``: the subspaces with k = c,
+        their entries (None if all k are 1), their runs' offsets in those."""
+        if not self.groups:
+            return slice(None), None, self.offsets, self.rows, self.vals, self._pair
+        index, sizes = np.flatnonzero(self.k == c), np.diff(self.offsets)
+        sel = np.flatnonzero(np.repeat(self.k == c, sizes))
+        starts = np.concatenate(([0], np.cumsum(sizes[index])))
+        return index, sel, starts, self.rows[sel], self.vals[sel], self._pair[sel]
+
     def local_energies(self, operator):
-        """``(scalars, galerkin)``: every local matrix ``P_i^T M P_i``.
+        """``(scalars, stacks)``: every local matrix ``P_i^T M P_i``.
 
         ``scalars`` holds those of the k = 1 subspaces (NaN where k > 1)
-        and ``galerkin`` maps each i with k > 1 to its dense (k, k) array.
-        For tridiagonal M, one pass forms the applied basis ``M v_i`` on
-        each k = 1 support, ``(d_r v_r + e_r v_{r+1}) + e_{r-1} v_{r-1}``
-        with neighbours in the run only, and sums ``v_r (M v_i)_r``.  Else
-        one-entry supports at once and one dense Galerkin product per
-        longer support.  Cached for the most recent operator (by
-        identity), so the constructor, Lipschitz constants,
-        :meth:`apply_local`, :meth:`applied` and solver setup share it.
+        and ``stacks[k]`` those of ``groups[k]`` as one (nb, k, k) array.
+        For tridiagonal M, one pass per k forms row r of every ``M P_i``,
+        ``(d_r v_r + e_r v_{r+1}) + e_{r-1} v_{r-1}`` with neighbours in
+        the run only (k entries apart), and sums ``v_r^T (M P_i)_r`` per
+        support.  Else one-entry supports at once and one dense Galerkin
+        product per longer support.  Cached for the most recent operator
+        (by identity) with what :meth:`applied` and solver setup build.
         """
         cached = self._energies
-        if cached is not None and cached[0] is operator:
-            return cached[1]
-        offsets, rows, vals, one = self.offsets, self.rows, self.vals, self.k == 1
-        data = None
+        if cached is not None and cached.operator is operator:
+            return cached.scalars, cached.stacks
+        out, stacks, passes = np.full(len(self), np.nan), {}, None
         if isinstance(operator, SpdOperator) and operator.is_banded:
             d, e = operator.bands
-            if not one.all():  # blocks get zero columns here, NaN below
-                vals = vals * np.repeat(one, offsets[1:] - offsets[:-1])
-            up = np.append(e, 0.0)[rows[:-1]]
-            up *= self._pair  # e_r where rows r and r + 1 are in one run, else 0
-            inner, t = d[rows], np.empty(rows.size)  # in place: few temporaries
-            inner *= vals
-            inner[:-1] += np.multiply(up, vals[1:], out=t[:-1])
-            inner[1:] += np.multiply(up, vals[:-1], out=t[:-1])
-            out = np.add.reduceat(np.multiply(vals, inner, out=t), offsets[:-1])
-            out[~one] = np.nan
-            data = (inner, vals)
+            e, passes = np.append(e, 0.0), []
+            for c in np.unique(self.k).tolist() if self.groups else [1]:
+                index, sel, starts, rows, vals, pair = self._group(c)
+                up = e[rows[:-c]]
+                up *= pair[:-c]  # e_r where rows r and r + 1 are in one run, else 0
+                inner, t = d[rows], np.empty(rows.size)  # in place: few temporaries
+                inner *= vals
+                inner[:-c] += np.multiply(up, vals[c:], out=t[:-c])
+                inner[c:] += np.multiply(up, vals[:-c], out=t[:-c])
+                if c == 1:
+                    out[index] = np.add.reduceat(np.multiply(vals, inner, out=t), starts[:-1])
+                else:
+                    v, mv = vals.reshape(-1, c), inner.reshape(-1, c)
+                    stacks[c] = np.add.reduceat(v[:, :, None] * mv[:, None, :], starts[:-1] // c)
+                passes.append((c, sel, starts, rows, vals, pair, inner))
         else:
-            out = np.full(len(self), np.nan)
-            lone = one & (offsets[1:] - offsets[:-1] == 1)  # one-entry runs at once
             m = operator.dense() if isinstance(operator, SpdOperator) else operator
-            r, v = rows[offsets[:-1][lone]], vals[offsets[:-1][lone]]
-            out[lone] = v * np.asarray(m, dtype=np.float64)[r, r] * v
-            for i in np.flatnonzero(one & ~lone).tolist():
-                out[i] = _galerkin(operator, *self.basis(i))[0, 0]
-        galerkin = {
-            i: _frozen(_galerkin(operator, *self.basis(i)), np.float64)
-            for i in np.flatnonzero(~one).tolist()
-        }
-        # [operator, result, pass data for applied(), applied(operator),
-        #  the step kernel's binding (solvers)]
-        self._energies = [operator, (_frozen(out, np.float64), galerkin), data, None, None]
-        return self._energies[1]
+            m = np.asarray(m, dtype=np.float64)
+            offsets, one = self.offsets, self.k == 1
+            lone = one & (offsets[1:] - offsets[:-1] == 1)  # one-entry runs at once
+            r, v = self.rows[offsets[:-1][lone]], self.vals[offsets[:-1][lone]]
+            out[lone] = v * m[r, r] * v
+            longer = np.flatnonzero(one & ~lone).tolist()
+            out[longer] = [_galerkin(m, *self.basis(i))[0, 0] for i in longer]
+            for c, index in self.groups.items():
+                stacks[c] = np.array([_galerkin(m, *self.basis(i)) for i in index.tolist()])
+        stacks = {c: _frozen(s, np.float64) for c, s in stacks.items()}
+        self._energies = _Energies(operator, _frozen(out, np.float64), stacks, passes)
+        return self._energies.scalars, stacks
 
     def applied(self, operator):
         """``(offsets, rows, vals)``: the nonzero rows of every ``M P_i``.
 
         Flat CSR arrays for tridiagonal M in the layout of ``offsets``,
         ``rows`` and ``vals``: rows increasing within each subspace, each
-        row k[i] times in a row with its k values.  A k = 1 subspace gets
-        the nonzeros of the pass's ``M v_i`` on the support, plus
-        ``e_{b-1} v_b`` at b - 1 and ``e_{b1-1} v_{b1-1}`` at b1 around
-        each run [b, b1) of consecutive support rows; a block gets every
-        row of its ``M P_i`` with a nonzero, zeros in it kept, from one
-        window product per block.  Built on first use, then cached with
-        the pass it reads.
+        row k[i] times in a row with its k values: from the pass of
+        :meth:`local_energies`, M P_i's support rows, and ``e_{b-1} v_b``
+        at b - 1 and ``e_{b1-1} v_{b1-1}`` at b1 around each run [b, b1)
+        of consecutive support rows, each row kept whole if not all zero.
         """
+        self.local_energies(operator)  # the cache of this operator
         cached = self._energies
-        if cached is None or cached[0] is not operator:
-            self.local_energies(operator)
-            cached = self._energies
-        if cached[3] is None:
-            if cached[2] is None:
+        if cached.applied is None:
+            if cached.passes is None:
                 raise ValueError("the applied basis needs a tridiagonal operator")
-            (inner, vals), rows = cached[2], self.rows
             e = np.concatenate(([0.0], operator.bands[1], [0.0]))  # e[r] = e_{r-1}
-            if rows.size == len(self):  # one row per support: no runs to order
-                cached[2:4] = None, _one_row_stencils(rows, vals, inner, e)
-                return cached[3]
-            cut = np.flatnonzero(~self._pair)  # runs of consecutive rows: lo..hi
-            lo, hi = np.concatenate(([0], cut + 1)), np.concatenate((cut, [rows.size - 1]))
-            # the entry behind each candidate: rows r - 1 of every lo, r of
-            # every nonzero of inner, r + 1 of every hi; a stable sort on
-            # entries puts them in row order
-            at = np.concatenate((lo, np.flatnonzero(inner != 0.0), hi))
-            m, row, val = lo.size, rows[at], vals[at]
-            row[:m] -= 1
-            row[-m:] += 1
-            val[:m] *= e[row[:m] + 1]
-            val[m:-m] = inner[at[m:-m]]
-            val[-m:] *= e[row[-m:]]
-            offsets = self.offsets
-            # a run's b1 that is the next run's b - 1, in one support: one entry
-            t = np.flatnonzero(row[1:m] == row[-m:-1])
-            if t.size:
-                t = t[offsets[np.searchsorted(offsets, lo[t + 1])] != lo[t + 1]]
-                val[-m:][t] += val[t + 1]
-                val[t + 1] = 0.0
-            nonzero = val != 0.0
-            if self.blocks:  # each block's entries, zeros too, behind its first
-                blocks = (
-                    _banded_rows(operator, *self.basis(i), offsets[i]) for i in self.blocks
-                )
-                at, row, val = (np.concatenate(a) for a in zip((at, row, val), *blocks))
-                nonzero = np.append(nonzero, np.ones(val.size - nonzero.size, bool))
-            keep = np.argsort(at, kind="stable")
-            keep = keep[nonzero[keep]]
-            at = np.searchsorted(at[keep], offsets)
-            cached[2:4] = None, tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
-        return cached[3]
+            if self.rows.size == len(self):  # one row per support: no runs to order
+                vals, inner = cached.passes[0][4::2]
+                cached.applied = _one_row_stencils(self.rows, vals, inner, e)
+            else:
+                found = [_candidates(e, *p) for p in cached.passes]
+                at, row, val, nonzero = map(np.concatenate, zip(*found)) if found[1:] else found[0]
+                keep = np.argsort(at, kind="stable")
+                keep = keep[nonzero[keep]]
+                at = np.searchsorted(at[keep], self.offsets)
+                cached.applied = tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
+            cached.passes = None
+        return cached.applied
 
     # -- flat kernel: restrict, local solve or apply, prolong-and-sum --
 
@@ -296,13 +298,16 @@ class Decomposition:
         c = self.vals * v[self.rows]
         return np.bincount(self._entry_slots(), c, self.slots[-1])
 
+    def _stacked(self, out, stacks, c):
+        """``out`` with each k > 1 subspace's slots set to its stacked matrix times c."""
+        for k, stack in stacks.items():
+            at = self.slots[self.groups[k], None] + np.arange(k)
+            out[at] = (stack @ c[at][..., None])[..., 0]
+        return out
+
     def solve_local(self, c):
         """``A_i^{-1} c_i`` for every subspace, on flat coefficients."""
-        out = c / np.repeat(self.scalars, self.k)
-        for i, block in self.blocks.items():
-            at = slice(*self.slots[i : i + 2])
-            out[at] = block.solve(c[at])
-        return out
+        return self._stacked(c / np.repeat(self.scalars, self.k), self.inverses, c)
 
     def apply_local(self, c, operator=None):
         """``M_i c_i`` for every subspace, on flat coefficients.
@@ -310,15 +315,9 @@ class Decomposition:
         ``M_i = P_i^T M P_i`` is the local matrix of ``operator``, read
         from :meth:`local_energies`; by default the metric's, the A_i.
         """
-        if operator is None:
-            scal, local = self.scalars, {i: b.dense() for i, b in self.blocks.items()}
-        else:
-            scal, local = self.local_energies(operator)
-        out = c * np.repeat(scal, self.k)
-        for i, m in local.items():
-            at = slice(*self.slots[i : i + 2])
-            out[at] = m @ c[at]
-        return out
+        own = operator is None  # the metric's A_i
+        scal, local = (self.scalars, self.matrices) if own else self.local_energies(operator)
+        return self._stacked(c * np.repeat(scal, self.k), local, c)
 
     def prolong(self, c):
         """``sum_i P_i c_i`` as a full vector."""
@@ -371,22 +370,20 @@ def block_decomposition(partition, metric):
     metric.
     """
     n = metric.dimension
-    blocks = [np.array(sorted(int(i) for i in b), dtype=np.intp) for b in partition]
+    blocks = list(partition)
     if not blocks:
         raise ValueError("partition must contain at least one block")
-    flat = np.concatenate(blocks)
+    k = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    flat = np.fromiter(itertools.chain.from_iterable(blocks), np.intp, int(k.sum()))
+    flat = flat[np.lexsort((flat, np.repeat(np.arange(k.size), k)))]  # ascending per block
     if flat.size != n or not np.array_equal(np.unique(flat), np.arange(n)):
         raise ValueError("partition must cover {0..n-1} with disjoint blocks")
-    if any(b.size == 0 for b in blocks):
+    if (k == 0).any():
         raise ValueError("empty block in partition")
-    k = [b.size for b in blocks]
-    return Decomposition(
-        metric,
-        np.cumsum([0] + [s * s for s in k]),
-        np.concatenate([np.repeat(b, b.size) for b in blocks]),
-        np.concatenate([np.eye(s).ravel() for s in k]),
-        k=k,
-    )
+    offsets, each = np.concatenate(([0], np.cumsum(k * k))), np.repeat(k, k)
+    position = np.arange(n) - np.repeat(np.cumsum(k) - k, k)  # of each row in its block
+    eye = np.repeat(position, each) == _columns(offsets, k)
+    return Decomposition(metric, offsets, np.repeat(flat, each), eye.astype(np.float64), k=k)
 
 
 def multilevel_nodal_decomposition(level, metric=None):
@@ -426,16 +423,38 @@ def multilevel_nodal_decomposition(level, metric=None):
     return Decomposition(metric, offsets, rows, vals, level=np.repeat(levels, counts))
 
 
+def _candidates(e, c, sel, starts, rows, vals, pair, inner):
+    """:meth:`Decomposition.applied`'s candidate entries from the pass over k = c."""
+    whole = lambda keep: keep if c == 1 else np.repeat(keep.reshape(-1, c).any(1), c)  # noqa: E731
+    hi = np.flatnonzero(~pair)  # each run's last support row, c entries
+    lo = np.concatenate((np.arange(c), hi[:-c] + c))  # and its first
+    # the entry behind each candidate: rows r - 1 of every lo, r of every
+    # row of inner with a nonzero, r + 1 of every hi, in row order once sorted
+    at = np.concatenate((lo, np.flatnonzero(whole(inner != 0.0)), hi))
+    m, row, val = lo.size, rows[at], vals[at]
+    row[:m] -= 1
+    row[-m:] += 1
+    val[:m] *= e[row[:m] + 1]
+    val[m:-m] = inner[at[m:-m]]
+    val[-m:] *= e[row[-m:]]
+    # a run's b1 that is the next run's b - 1, in one support: one entry
+    t = np.flatnonzero(row[c:m] == row[-m:-c])
+    if t.size:
+        first = lo[t + c] - t % c  # the next run's first entry
+        t = t[starts[np.searchsorted(starts, first)] != first]
+        val[-m:][t] += val[t + c]
+        val[t + c] = 0.0
+    if c > 1:  # behind the row's first entry; the zeros kept are +0.0, as M P_i's
+        val += 0.0
+        at -= at % c
+    return (at if sel is None else sel[at]), row, val, whole(val != 0.0)
+
+
 def _one_row_stencils(rows, vals, inner, e):
-    """``applied`` when every support is one row r: the general build's
-    ``v e_{r-1}``, ``inner`` and ``v e_r`` at rows r - 1, r and r + 1,
-    zeros dropped, without its sort (two thirds of its time for a
-    coordinate decomposition of 63)."""
+    """``applied`` when every support is one row r: ``v e_{r-1}``, ``inner``
+    and ``v e_r`` at rows r - 1, r and r + 1, zeros dropped, with no sort."""
     row = rows[:, None] + np.array([-1, 0, 1])
-    val = np.empty(row.shape)
-    np.multiply(vals, e[rows], out=val[:, 0])
-    val[:, 1] = inner
-    np.multiply(vals, e[rows + 1], out=val[:, 2])
+    val = np.column_stack((vals * e[rows], inner, vals * e[rows + 1]))
     keep = val != 0.0
     at = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     return tuple(_frozen(a, a.dtype) for a in (at, row[keep], val[keep]))
@@ -473,11 +492,12 @@ def with_quadratic_lipschitz(decomposition, hessian):
     restricted to the subspace, measured in the local matrix norm.
     """
     d = decomposition
-    scal, galerkin = d.local_energies(hessian)
+    scal, local = d.local_energies(hessian)
     lip = scal / d.scalars
-    for i, block in d.blocks.items():
-        w = sla.eigh(galerkin[i], block.dense(), eigvals_only=True, check_finite=False)
-        lip[i] = w[-1]
+    for k, index in d.groups.items():
+        # the pencil (P_i^T H P_i, A_i) as L^{-1} (P_i^T H P_i) L^{-T}, A_i = L L^T
+        factor = np.linalg.inv(np.linalg.cholesky(d.matrices[k]))
+        lip[index] = np.linalg.eigvalsh(factor @ local[k] @ factor.mT)[:, -1]
     return with_local_lipschitz(d, lip)
 
 
@@ -527,10 +547,12 @@ def stability_constant(decomposition, dense_limit=DENSE_EIG_LIMIT, tol=1e-6):
     if n <= dense_limit:
         import scipy.sparse as sp
 
-        # P D^{-1}: the k = 1 columns over A_i, each block's times A_i^{-1}
+        # P D^{-1}: k = 1 columns over A_i, the basis rows of k > 1 times A_i^{-1}
         q = d.vals / np.repeat(d.scalars, np.diff(d.offsets))
-        for i, block in d.blocks.items():
-            q[d.offsets[i] : d.offsets[i + 1]] = block.solve_columns(d.basis(i)[1].T).T.ravel()
+        for k, inverse in d.inverses.items():
+            index, sel, starts, _, vals, _ = d._group(k)
+            of_row = np.repeat(np.arange(index.size), np.diff(starts) // k)
+            q[sel] = (vals.reshape(-1, 1, k) @ inverse[of_row]).ravel()
         at, shape = (d.rows, d._entry_slots()), (n, int(d.slots[-1]))
         u = a.upper_factor()
         s = (u @ sp.csr_array((q, at), shape)) @ (u @ sp.csr_array((d.vals, at), shape)).T

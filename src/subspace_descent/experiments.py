@@ -151,7 +151,7 @@ def build_problem(spec):
         d = coordinate_decomposition(n)
         return objective, with_local_lipschitz(d, rcd_column_lipschitz(hess))
     if method == "rbcd":
-        size = spec.block_size or 2
+        size = 2 if spec.block_size is None else spec.block_size
         if size < 1:
             raise ValueError("block_size must be positive")
         partition = [range(a, min(a + size, n)) for a in range(0, n, size)]

@@ -256,19 +256,6 @@ class SpdOperator:
         row[1:] += e
         return float(row.max())
 
-    def solve_columns(self, b):
-        """Solve ``A X = B`` for a 2-D right-hand side.
-
-        Single Cholesky backsolve without the refinement loop of
-        ``solve``; meant for assembling small auxiliary matrices.
-        """
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim != 2 or b.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"expected a ({self.dimension}, k) right-hand side, got {b.shape}"
-            )
-        return self._raw_solve(b)
-
     def upper_factor(self):
         """Upper-triangular U with ``A = U^T U``, a scipy.sparse CSR array."""
         import scipy.sparse as sp

@@ -27,28 +27,24 @@ Methods
 
 For quadratic objectives the gradient and objective value are carried
 incrementally.  A step adds c P_i or P_i delta to x, and g moves by the
-same multiple of H P_i.  Under a banded Hessian g changes only at the
-nnz(H P_i) cached nonzeros of ``Decomposition.applied`` (3 for a
-multilevel hat), and ``||g||^2`` is carried too, which makes a step
-O(support size).  There the scalar steps (a canonical k = 1 subspace on
-a contiguous support) run in the compiled kernel ``_step.c``, one
-sampler batch at a time: it sums g_i left to right, adds c v_i to x,
-``c g_i + c^2 h_i / 2`` to f and c (H v_i) to g.  At an epoch boundary
-where f has not risen it does the divergence guard's bookkeeping and
-the exact resync itself; it hands back to this loop at any other
-boundary, when the carried norm nears the threshold, at
-``max_iterations`` and before any other step.  Every other step
-(blocks, other supports, non-canonical ``rfas`` steps, and all steps
-under a dense Hessian or of a non-quadratic objective) is the general
-P_i delta step in numpy.  The carried norm is set exactly from g at
-every epoch boundary (by the kernel's left-to-right sum in a run that
-has it), and the stopping test uses the exact norm whenever the
-carried one is within its rounding bound of the threshold.  A run
-stops as converged only if the true gradient at the final iterate
-meets the tolerance; if it does not, g, f and the norm are resynced
-from it and the run goes on.  The loop and the single-step reference
-functions address subspace i of a decomposition by its index and read
-it from the flat arrays.
+same multiple of H P_i: under a banded Hessian only at the nnz(H P_i)
+cached nonzeros of ``Decomposition.applied`` (3 for a multilevel hat),
+with ``||g||^2`` carried too, so a step costs O(support size).  There
+the scalar steps (a canonical k = 1 subspace on a contiguous support)
+run in the compiled kernel ``_step.c``, one sampler batch at a time: it
+sums g_i left to right, adds c v_i to x, ``c g_i + c^2 h_i / 2`` to f
+and c (H v_i) to g, and at an epoch boundary where f has not risen it
+does the divergence guard's bookkeeping and the exact resync itself.
+It hands back at any other boundary, when the carried norm nears the
+threshold, at ``max_iterations`` and before any other step.  Every
+other step (blocks, other supports, non-canonical ``rfas`` steps, all
+steps under a dense Hessian or of a non-quadratic objective) is the
+general P_i delta step in numpy, on views of the flat arrays and of the
+decomposition's per-k stacks of local matrices.  The stopping test uses
+the exact norm whenever the carried one is within its rounding bound of
+the threshold, and a run stops as converged only if the true gradient
+at the final iterate meets the tolerance; else g, f and the norm are
+resynced from it and the run goes on.
 """
 
 from __future__ import annotations
@@ -190,10 +186,7 @@ class QuadraticEnergyLocal:
 
     def __init__(self, decomposition, i):
         self.decomposition, self.index = decomposition, i
-        if i in decomposition.blocks:
-            self.matrix = decomposition.blocks[i].dense()
-        else:
-            self.matrix = np.array([[decomposition.scalars[i]]])
+        self.matrix = decomposition.local(i)
 
     def value(self, w):
         w = np.atleast_1d(np.asarray(w, dtype=np.float64))
@@ -218,9 +211,23 @@ def _canonical(local, decomposition, i):
 
 def _solve_local(decomposition, i, v):
     """``A_i^{-1} v`` for subspace i."""
-    if i in decomposition.blocks:
-        return decomposition.blocks[i].solve(v)
-    return v / decomposition.scalars[i]
+    d = decomposition
+    return v / d.scalars[i] if d.k[i] == 1 else d.local(i, (d.scalars, d.inverses)) @ v
+
+
+def _general_part(d, i, hlocal, applied):
+    """What the general branch reads of subspace i, as views: support, basis,
+    A_i (k = 1) or A_i^{-1}, the local matrix of H and, under a banded H,
+    the nonzero rows of H P_i and their k[i] values each."""
+    at, basis = d.basis(i)
+    inverse = None if d.k[i] == 1 else d.local(i, (d.scalars, d.inverses))
+    hloc = None if hlocal is None else d.local(i, hlocal)
+    rows = hp = None
+    if applied is not None:
+        aoff, arows, avals = applied
+        span, k = slice(aoff[i], aoff[i + 1]), int(d.k[i])
+        rows, hp = arows[span][::k], avals[span].reshape(-1, k)
+    return at, basis, d.scalars[i], inverse, hloc, rows, hp
 
 
 def solve_local_stationarity(local, target, start, tol=1e-10, max_iter=100):
@@ -569,40 +576,25 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
     canonical = np.ones(j, dtype=bool)
     if config.method.lower() == "rfas":
         if local_objectives is not None:
-            canonical[:] = [
-                _canonical(loc, d, i) for i, loc in enumerate(local_objectives)
-            ]
+            canonical[:] = [_canonical(loc, d, i) for i, loc in enumerate(local_objectives)]
         if projections is not None:
             canonical &= [p is None for p in projections]
-        if local_objectives is None and not canonical.all():
-            local_objectives = [QuadraticEnergyLocal(d, i) for i in range(j)]
 
     quadratic = objective.is_quadratic
-    binding = steps = None  # the kernel's view of d, and the kernel
+    binding = steps = applied = hlocal = None  # the kernel's view of d, and the kernel
     scalar = np.zeros(j, dtype=np.uint8)  # the steps the kernel takes
     if quadratic:
         h = objective.hessian_matrix
         if isinstance(h, SpdOperator) and h.is_banded:
             binding = _kernel.bind(d, h)
-            aoff, arows, avals = binding.applied
+            applied = binding.applied
             scalar = binding.scalar if canonical.all() else binding.scalar & canonical
             if scalar.any():
                 steps, sum_squares = _kernel.load()
         else:
             hdense = h.dense() if isinstance(h, SpdOperator) else np.asarray(h, float)
-        hscal, hgal = d.local_energies(h)
-    # What the general branch reads of subspace i: basis(i), the local
-    # matrix of H and, when banded, the nonzero rows of H P_i and their
-    # k[i] values each.
-    general = np.flatnonzero(scalar == 0).tolist()
-    parts = {i: d.basis(i) for i in general}
-    if quadratic:
-        hloc = {i: hgal[i] if i in hgal else np.array([[hscal[i]]]) for i in general}
-    if binding is not None:
-        stencils = {}
-        for i in general:
-            at, k_i = slice(aoff[i], aoff[i + 1]), d.k[i]
-            stencils[i] = arows[at][::k_i], avals[at].reshape(-1, k_i)
+        hlocal = d.local_energies(h)
+    parts = {}  # _general_part of each subspace the general branch has stepped in
 
     g = np.array(objective.gradient(x), dtype=np.float64)
     if g.shape != (n,):  # the kernel writes g in place
@@ -665,12 +657,13 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         # Any other step adds P_i delta to x.
         i = next_index()
         record.put(k, f, sqrt(gn2), i)
-        at, basis = parts[i]
+        part = parts.get(i) or parts.setdefault(i, _general_part(d, i, hlocal, applied))
+        at, basis, a_i, inverse, hloc, rows, hp = part
         gi = basis.T @ g[at]
         if canonical[i]:
-            sloc = _solve_local(d, i, np.negative(gi))
+            sloc = np.negative(gi) / a_i if inverse is None else inverse @ np.negative(gi)
         else:
-            loc = local_objectives[i]
+            loc = QuadraticEnergyLocal(d, i) if local_objectives is None else local_objectives[i]
             q = np.zeros(basis.shape[1])
             if projections is not None and projections[i] is not None:
                 q = np.atleast_1d(np.asarray(projections[i](x), dtype=float))
@@ -679,10 +672,9 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         dx = basis @ delta
         x[at] += dx
         if quadratic:
-            f += float(gi @ delta) + 0.5 * float(delta @ (hloc[i] @ delta))
+            f += float(gi @ delta) + 0.5 * float(delta @ (hloc @ delta))
         # g moves by H P_i delta.
         if binding is not None:
-            rows, hp = stencils[i]
             old = g[rows]
             g[rows] = new = old + hp @ delta
             s_old, s_new = float(old @ old), float(new @ new)

@@ -58,19 +58,20 @@ class TestBlock:
     def test_two_blocks_identity(self):
         d = block_decomposition([[0, 1], [2]], SpdOperator.identity(3))
         assert len(d) == 2
-        assert np.array_equal(d.blocks[0].dense(), np.eye(2))
-        assert list(d.blocks) == [0] and d.scalars[1] == 1.0
+        assert np.array_equal(d.local(0), np.eye(2)) and d.local(1).tolist() == [[1.0]]
+        assert d.groups[2].tolist() == [0] and d.scalars[1] == 1.0
+        assert np.array_equal(d.inverses[2], [np.eye(2)])
 
     def test_single_block_is_full_space(self):
         a = dirichlet_laplacian(4)
         d = block_decomposition([[0, 1, 2, 3]], a)
         assert len(d) == 1
-        assert np.array_equal(d.blocks[0].dense(), a.dense())
+        assert np.array_equal(d.local(0), a.dense())
         assert d.stability_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_laplacian_submatrix(self):
         d = block_decomposition([[0, 1], [2, 3]], dirichlet_laplacian(4))
-        assert np.array_equal(d.blocks[0].dense(), [[2.0, -1.0], [-1.0, 2.0]])
+        assert np.array_equal(d.local(0), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -143,8 +144,8 @@ class TestMultilevelNodal:
 class TestGalerkin:
     def test_identity_prolongation_returns_metric(self):
         a = dirichlet_laplacian(3)
-        g = pack(a, [(range(3), np.eye(3))]).blocks[0]
-        assert_allclose(g.dense(), a.dense(), rtol=0, atol=0)
+        g = pack(a, [(range(3), np.eye(3))]).local(0)
+        assert_allclose(g, a.dense(), rtol=0, atol=0)
 
     def test_interior_hat_energy(self):
         # a hat of stride s has 2s edges of slope 1/s: energy 2/s
@@ -241,17 +242,15 @@ class TestRcdColumn:
 
 def reference_stability_constant(d):
     """``1 / lambda_min(B A)`` from the dense B, summed one outer product
-    (or block) per subspace, and a dense generalized eigensolve."""
+    (or block) per subspace from dense arrays, and a dense generalized
+    eigensolve."""
     n = d.ambient_dimension
+    ad = d.preconditioner.dense()
     b = np.zeros((n, n))
     for i in range(len(d)):
         support, basis = d.basis(i)
-        if i in d.blocks:
-            blk = basis @ d.blocks[i].solve_columns(basis.T)
-        else:
-            blk = np.outer(basis, basis) / d.scalars[i]
-        b[np.ix_(support, support)] += blk
-    ad = d.preconditioner.dense()
+        local = basis.T @ ad[np.ix_(support, support)] @ basis
+        b[np.ix_(support, support)] += basis @ np.linalg.solve(local, basis.T)
     return 1.0 / sla.eigh(ad @ b @ ad, ad, eigvals_only=True)[0]
 
 
@@ -397,7 +396,7 @@ class TestConstructor:
     def test_defaults(self):
         d = Decomposition(dirichlet_laplacian(3), [0, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0])
         assert d.k.tolist() == [1, 1] and d.level.tolist() == [0, 0]
-        assert d.lipschitz.tolist() == [1.0, 1.0] and d.blocks == {}
+        assert d.lipschitz.tolist() == [1.0, 1.0] and d.groups == d.matrices == {}
         assert d.scalars.tolist() == [2.0, 2.0]
         assert not d.rows.flags.writeable and not d.scalars.flags.writeable
 
@@ -407,7 +406,7 @@ class TestFlatKernel:
         d = mixed_family()
         m = np.random.default_rng(8).standard_normal((7, 7))
         h = SpdOperator.from_dense(m @ m.T + 7.0 * np.eye(7))
-        assert sorted(d.blocks) == [11, 12] and d.slots[-1] == len(d) + 2
+        assert d.groups[2].tolist() == [11, 12] and d.slots[-1] == len(d) + 2
         v = np.random.default_rng(3).standard_normal(7)
         c = d.restrict(v)
         solved, applied = d.solve_local(c), d.apply_local(c)
@@ -427,10 +426,10 @@ class TestFlatKernel:
         d = mixed_family()
         h = dirichlet_laplacian(7, scale=1.5)
         scal, local = d.local_energies(h)
-        assert d.local_energies(h)[1] is local and sorted(local) == sorted(d.blocks)
+        assert d.local_energies(h)[1] is local and local.keys() == d.groups.keys() == {2}
         for i in range(len(d)):
             expect = galerkin(d, i, h)
-            got = local[i] if i in d.blocks else [[scal[i]]]
+            got = d.local(i, (scal, local))
             assert_allclose(got, expect, rtol=1e-14)
         assert with_quadratic_lipschitz(d, h).local_energies(h)[1] is local
 
@@ -487,7 +486,7 @@ class TestAppliedBasis:
         d = mixed_family()
         h = nesterov_worst(7).hessian
         applied = d.applied(h)
-        for i in [*d.blocks, len(d) - 1]:
+        for i in [*d.groups[2], len(d) - 1]:
             product = h.dense() @ prolongation(d, i)
             rows, vals = applied_rows(d, applied, i)
             nonzero = np.flatnonzero(product.any(axis=1))
@@ -640,10 +639,13 @@ class TestFlatLayout:
         for (sup, basis), lo, hi in zip(parts, d.offsets[:-1], d.offsets[1:]):
             assert np.array_equal(d.rows[lo:hi], np.repeat(sup, np.shape(basis)[1]))
             assert np.array_equal(d.vals[lo:hi], np.ravel(basis))
-        assert sorted(d.blocks) == [i for i, c in enumerate(k) if c > 1]
+        assert {c: g.tolist() for c, g in d.groups.items()} == {
+            c: [i for i, ci in enumerate(k) if ci == c] for c in (2, 3)
+        }
         # basis(i) reads the arrays back, and a copy shares them
         copy = with_local_lipschitz(d, d.lipschitz)
-        assert copy.rows is d.rows and copy.vals is d.vals and copy.blocks is d.blocks
+        assert copy.rows is d.rows and copy.vals is d.vals
+        assert copy.matrices is d.matrices and copy.inverses is d.inverses
         dense = a.dense()
         for i, (sup, basis) in enumerate(parts):
             got_support, got_basis = copy.basis(i)

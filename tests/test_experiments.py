@@ -291,6 +291,12 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == "error: trials must be at least 1\n"
 
+    def test_zero_block_size_exit_two(self, capsys):
+        # only an absent block size means the default of 2
+        code = main(["run", "--method", "rbcd", "--n", "15", "--block-size", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: block_size must be positive\n"
+
     def test_flat_tail_exit_two(self, capsys):
         # r < n leaves the last n - r coordinates without curvature
         code = main(["run", "--n", "7", "--r", "3", "--trials", "1"])

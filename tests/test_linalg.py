@@ -296,14 +296,6 @@ class TestSpdOperatorStorage:
         d = a.dense()
         assert np.array_equal(d, d.T)
 
-    def test_solve_columns_matches_solve(self):
-        rng = np.random.default_rng(9)
-        a = SpdOperator.from_dense(random_spd(rng, 6))
-        b = rng.standard_normal((6, 3))
-        x = a.solve_columns(b)
-        for c in range(3):
-            assert_allclose(x[:, c], a.solve(b[:, c]), rtol=1e-9, atol=1e-12)
-
     def test_diagonal_banded(self):
         a = dirichlet_laplacian(4, scale=3.0)
         assert_allclose(a.diagonal(), 6.0 * np.ones(4), rtol=0)

@@ -753,12 +753,32 @@ class TestScalarStepAndStop:
         assert calls == []
         for method in ("rcd", "rbcd", "rfasd"):
             obj, d = build_problem(ExperimentSpec(level=6, method=method))
-            assert d._energies[3] is None
+            assert d._energies.applied is None
             for seed in (0, 1):  # trials share the cached set
                 cfg = SolverConfig(method=method, seed=seed, max_iterations=5)
                 run_solver(cfg, obj, d)
-            assert calls == [d, d] and d._energies[3] is build(d, obj.hessian)
+            assert calls == [d, d] and d._energies.applied is build(d, obj.hessian)
             calls.clear()
+
+    @pytest.mark.parametrize("n", [63, 4095])
+    def test_blocks_construct_no_more_operators_than_coordinates(self, n, monkeypatch):
+        # the local matrices of every block live in per-k stacks, not in
+        # one SpdOperator per block
+        made = []
+        init = SpdOperator.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpdOperator, "__init__", spy)
+        counts = []
+        for method, size in (("rcd", None), ("rbcd", 2), ("rbcd", 4)):
+            made.clear()
+            obj, d = build_problem(ExperimentSpec(n=n, method=method, block_size=size))
+            run_solver(SolverConfig(method=method, max_iterations=0), obj, d)
+            counts.append(len(made))
+        assert counts == [1, 1, 1]
 
     def test_converged_means_true_gradient_met_tolerance(self):
         obj, d = nesterov_worst(1023), multilevel_nodal_decomposition(10)
