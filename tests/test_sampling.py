@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -213,3 +215,28 @@ class TestBatches:
             got.extend(batch.tolist())
             s.consume(batch.size)
         assert got[:3000] == expected and s.draw_count == len(got)
+
+
+# sha256 of the first 5 000 indices (little-endian int64) at seed 9, with
+# proportional weights 1, ..., J.  J = 1500 makes a permutation batch
+# longer than the 1 024 draws of a random batch.
+STREAM_PINS = {
+    ("uniform", 1): "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
+    ("uniform", 7): "b00a52d7659a98cefde602039ffef503bff2668f58614bcb17d071a6ac439b34",
+    ("uniform", 1500): "664d969385a6858ba9f6b40030a4a8971a8b5a200f38db0381350c39d939d6cd",
+    ("proportional", 1): "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
+    ("proportional", 7): "9f2cddd08c0abfc7284c173961c608a015956f3e5f8c63652f3e0346d22db20d",
+    ("proportional", 1500): "de30ee15f254356c6dc08721762be98dd19f49bdd5a3a727304e18f09c88399c",
+    ("permutation", 1): "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
+    ("permutation", 7): "c9d1d3827961e8f45d6737cfd75921ff50aba36767f857cdb734b6717f09b81e",
+    ("permutation", 1500): "827b454d2c6b4ad32b89af907e93a371cc8dd98d1c3df534c2d35ac0bcecac9b",
+    ("cyclic", 1): "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
+    ("cyclic", 7): "52f8becb305c08942961613b169a2d41d058b81750115a5a3478710e067080b4",
+    ("cyclic", 1500): "063432873f251f8976fe72bc1fb227bf14be5ad519eb8e39fc540f0a429f78f0",
+}
+
+
+@pytest.mark.parametrize("kind, size", sorted(STREAM_PINS))
+def test_stream_pins(kind, size):
+    got = np.asarray(draws(sampler_of(kind, size, 9), 5000), dtype="<i8")
+    assert hashlib.sha256(got.tobytes()).hexdigest() == STREAM_PINS[kind, size]
