@@ -18,16 +18,14 @@ All randomness comes from ``numpy.random.default_rng`` (the PCG64 bit
 generator), so streams are reproducible across platforms for a fixed
 ``(kind, weights, J, seed)``.  Random kinds draw from the generator in
 fixed-size batches; this is an implementation detail but part of what
-defines the stream.  Besides one index at a time (``next_index``), a
-sampler hands out the unread rest of its current batch as an int64
-array (``batch``) and is told how many of those were used
-(``consume``); either way the stream is the same.
+defines the stream.  A sampler keeps the current batch as an int64
+array with a cursor at its first unread index: ``batch`` hands out the
+unread rest (after a refill when the batch is used up) and ``consume``
+moves the cursor.  ``next_index`` and iteration read one index at a
+time from the same stream.
 """
 
 from __future__ import annotations
-
-from itertools import chain
-from operator import length_hint
 
 import numpy as np
 
@@ -41,7 +39,9 @@ _BATCH = 1024
 class Sampler:
     """Iterator over subspace indices; see the module docstring.
 
-    Use :func:`make_sampler` rather than constructing directly.
+    ``probabilities`` holds the selection probabilities of proportional
+    sampling and is None for the other kinds.  Use :func:`make_sampler`
+    rather than constructing directly.
     """
 
     def __init__(self, kind, size, probabilities=None, seed=0):
@@ -52,7 +52,7 @@ class Sampler:
         self.kind = kind
         self.size = int(size)
         self.seed = seed
-        self.probabilities = cumulative = None
+        self.probabilities = None
         self._rng = None if kind == "cyclic" else np.random.default_rng(seed)
         if kind == "proportional":
             p = np.asarray(probabilities, dtype=np.float64)
@@ -62,21 +62,19 @@ class Sampler:
                 raise ValueError("probabilities must be positive and finite")
             p = p / p.sum()
             self.probabilities = p
-            cumulative = np.cumsum(p)
-            cumulative[-1] = 1.0
-        elif kind == "uniform":
-            self.probabilities = np.full(size, 1.0 / size)
-        # The stream holds no reference to the sampler, so that a finished
-        # run frees both at once instead of leaving a cycle to the collector.
-        self._fetched = fetched = [0, iter(()), None]
-        batches = _batches(kind, self.size, self._rng, cumulative, fetched)
-        #: Next subspace index in ``{0, ..., J-1}``; a draw runs no Python frame.
-        self.next_index = chain.from_iterable(batches).__next__
+            self._cumulative = np.cumsum(p)
+            self._cumulative[-1] = 1.0
+        elif kind == "cyclic":  # whole sweeps, about _BATCH indices a batch
+            self._sweep = np.arange(size * max(1, _BATCH // size), dtype=np.int64) % size
+        # The stream: the current batch, the position of its first unread
+        # index, and how many indices the batches so far held.
+        self._batch = np.empty(0, dtype=np.int64)
+        self._cursor = self._made = 0
 
     @property
     def draw_count(self):
         """How many indices have been drawn (batch indices once consumed)."""
-        return self._fetched[0] - length_hint(self._fetched[1])
+        return self._made - self._batch.size + self._cursor
 
     def batch(self):
         """The next indices of the stream, as a nonempty int64 array.
@@ -85,16 +83,30 @@ class Sampler:
         that is used up) and stay unread until :meth:`consume` marks a
         leading part of them as drawn.
         """
-        fetched = self._fetched
-        if not length_hint(fetched[1]):
-            self.next_index()  # fetch the next batch ...
-            fetched[1].__setstate__(0)  # ... and unread its first index
-        return fetched[2][fetched[2].size - length_hint(fetched[1]) :]
+        if self._cursor == self._batch.size:
+            if self.kind == "cyclic":
+                batch = self._sweep
+            elif self.kind == "permutation":
+                batch = self._rng.permutation(self.size)
+            elif self.kind == "uniform":
+                batch = self._rng.integers(0, self.size, size=_BATCH, dtype=np.intp)
+            else:  # proportional: inverse CDF with ties resolved to the lower index
+                batch = np.searchsorted(self._cumulative, self._rng.random(_BATCH), side="left")
+                batch = np.minimum(batch, self.size - 1)
+            self._batch = batch.astype(np.int64, copy=False)
+            self._cursor = 0
+            self._made += batch.size
+        return self._batch[self._cursor :]
 
     def consume(self, count):
         """Mark the first ``count`` indices of :meth:`batch` as drawn."""
-        fetched = self._fetched
-        fetched[1].__setstate__(fetched[2].size - length_hint(fetched[1]) + count)
+        self._cursor += count
+
+    def next_index(self):
+        """Draw the next subspace index in ``{0, ..., J-1}``."""
+        index = int(self.batch()[0])
+        self._cursor += 1
+        return index
 
     def __iter__(self):
         return self
@@ -104,32 +116,6 @@ class Sampler:
 
     def __repr__(self):
         return f"Sampler({self.kind!r}, J={self.size}, seed={self.seed})"
-
-
-def _batches(kind, size, rng, cumulative, fetched):
-    """Iterators over the stream's batches; ``fetched`` holds the number of
-    indices made so far, the iterator over the current batch and the
-    batch as an int64 array."""
-    # consume() sets a batch iterator's position with __setstate__, which
-    # is absolute for list iterators (a range iterator's moves on from
-    # where it is in newer Pythons), so every kind iterates over a list.
-    if kind == "cyclic":  # whole sweeps, about _BATCH indices a batch
-        sweep = np.arange(size * max(1, _BATCH // size), dtype=np.int64) % size
-        sweep_list = sweep.tolist()
-    while True:
-        if kind == "cyclic":
-            batch = sweep
-        elif kind == "permutation":
-            batch = rng.permutation(size)
-        elif kind == "uniform":
-            batch = rng.integers(0, size, size=_BATCH, dtype=np.intp)
-        else:  # proportional: inverse CDF with ties resolved to the lower index
-            batch = np.searchsorted(cumulative, rng.random(_BATCH), side="left")
-            batch = np.minimum(batch, size - 1)
-        fetched[0] += batch.size
-        fetched[2] = batch.astype(np.int64, copy=False)
-        fetched[1] = it = iter(sweep_list if kind == "cyclic" else batch.tolist())
-        yield it
 
 
 def make_sampler(kind, size=None, lipschitz=None, seed=0):

@@ -582,7 +582,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
 
     quadratic = objective.is_quadratic
     binding = steps = applied = hlocal = None  # the kernel's view of d, and the kernel
-    scalar = np.zeros(j, dtype=np.uint8)  # the steps the kernel takes
+    scalar = np.zeros(j, dtype=np.uint8)  # the steps the kernel takes; none without it
     if quadratic:
         h = objective.hessian_matrix
         if isinstance(h, SpdOperator) and h.is_banded:
@@ -625,7 +625,6 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
 
     k = 0
     converged = pending = False  # pending: an epoch boundary to check
-    next_index = sampler.next_index
     while True:
         if pending:
             guard.check(f, k)
@@ -642,20 +641,21 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
                     f = objective.value(x)
         if converged or k >= max_iterations:
             break
-        if steps is not None:
-            batch = sampler.batch()
-            if scalar[batch[0]]:
-                # Scalar steps from the sampler's batch, in C, up to where
-                # this loop has more to do than such a step.
-                record.reserve(k + batch.size)
-                run.k, run.f, run.gn2, run.slack = k, f, gn2, slack
-                sampler.consume(
-                    steps(layout_ref, run_ref, _kernel.address(batch, np.int64), batch.size)
-                )
-                k, f, gn2, slack, pending = run.k, run.f, run.gn2, run.slack, run.pending
-                continue
+        # Every step's index comes from the sampler's batch.  A scalar step
+        # hands the batch to C, which steps up to where this loop has more
+        # to do than such a step.
+        batch = sampler.batch()
+        i = int(batch[0])
+        if scalar[i]:
+            record.reserve(k + batch.size)
+            run.k, run.f, run.gn2, run.slack = k, f, gn2, slack
+            sampler.consume(
+                steps(layout_ref, run_ref, _kernel.address(batch, np.int64), batch.size)
+            )
+            k, f, gn2, slack, pending = run.k, run.f, run.gn2, run.slack, run.pending
+            continue
         # Any other step adds P_i delta to x.
-        i = next_index()
+        sampler.consume(1)
         record.put(k, f, sqrt(gn2), i)
         part = parts.get(i) or parts.setdefault(i, _general_part(d, i, hlocal, applied))
         at, basis, a_i, inverse, hloc, rows, hp = part

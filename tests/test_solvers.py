@@ -638,6 +638,39 @@ class TestScalarStepAndStop:
         assert_allclose(tr.final_x, x, rtol=1e-12)
         assert_allclose(tr.objective_values, f, rtol=1e-12)
 
+    @pytest.mark.parametrize("case", ["rcd", "rfasd", "rbcd", "rcd-dense-h", "rfas-quartic"])
+    def test_every_step_is_drawn_through_batches(self, case, monkeypatch):
+        # kernel steps and general steps alike come from batch()/consume()
+        made = []
+
+        def refuse():
+            raise AssertionError("the solver loop called next_index")
+
+        def spy(*args, **kwargs):
+            made.append(sampling.make_sampler(*args, **kwargs))
+            made[-1].next_index = refuse
+            return made[-1]
+
+        monkeypatch.setattr(solvers, "make_sampler", spy)
+        locals_ = None
+        if case == "rcd":
+            obj, d = build_problem(ExperimentSpec(n=63, method="rcd"))
+        elif case == "rfasd":
+            obj, d = build_problem(ExperimentSpec(level=6, method="rfasd"))
+        elif case == "rbcd":  # every block has two coordinates: no kernel step
+            obj, d = build_problem(ExperimentSpec(n=64, method="rbcd", block_size=2))
+        elif case == "rcd-dense-h":
+            h, b = nesterov_matrix_form(15)
+            obj = QuadraticObjective(SpdOperator.from_dense(h.dense()), b)
+            d = with_quadratic_lipschitz(coordinate_decomposition(15), obj.hessian)
+        else:
+            obj, d = build_problem(ExperimentSpec(level=4, method="rfas"))
+            locals_ = [QuadraticEnergyLocal(d, i) for i in range(len(d))]
+            locals_[2] = QuarticLocal(d.scalars[2])
+        cfg = SolverConfig(method=case.split("-")[0], seed=1, max_iterations=3000)
+        tr = run_solver(cfg, obj, d, local_objectives=locals_)
+        assert made[0].draw_count == tr.iteration_count > 0
+
     def test_gradient_of_the_wrong_length_is_refused(self):
         class Short(QuadraticObjective):
             def gradient(self, x):
