@@ -336,12 +336,14 @@ def theory_report(
 
     Probes the splitting identities at ``probe_count`` random gradient
     vectors and the expected-decay inequality at ``decay_count`` random
-    points (standard normal, seeded).  When ``traces`` are given, also
-    compares their fitted empirical rate against the linear rate bound
-    plus ``rate_margin``.
+    points (standard normal, seeded); both counts must be at least 1.
+    When ``traces`` are given, also compares their fitted empirical rate
+    against the linear rate bound plus ``rate_margin``.
     """
     if not objective.is_quadratic or objective.hessian is None:
         raise ValueError("theory_report needs a strongly convex quadratic objective")
+    if probe_count < 1 or decay_count < 1:  # else the checks pass with slack inf
+        raise ValueError("theory checks need at least one probe and one decay probe")
     a = decomposition.preconditioner
     mu, big_l = quadratic_metric_constants(objective.hessian, a)
     c_a = decomposition.stability_constant

@@ -106,7 +106,7 @@ def _cmd_run(args):
 
 def _cmd_tables(args):
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     result = reproduce_tables(
         args.which,

@@ -328,16 +328,20 @@ def reproduce_tables(
     skipped unless ``include_large`` is set.  Table 3 runs multilevel
     subspace descent with the same three samplers and reports mean
     epoch counts (iterations divided by the number of subspaces).
-    Deterministic cyclic columns run a single trial.
+    Deterministic cyclic columns run a single trial.  ``sizes=None``
+    runs the table's default sizes; an empty list is refused.
     """
     if which == 2:
-        sizes = list(sizes) if sizes else [7, 15, 31, 63]
+        default = [7, 15, 31, 63]
         columns = _TABLE2_COLUMNS
     elif which == 3:
-        sizes = list(sizes) if sizes else [7, 15, 31, 63, 127, 255, 511, 1023, 2047, 4095]
+        default = [7, 15, 31, 63, 127, 255, 511, 1023, 2047, 4095]
         columns = _TABLE3_COLUMNS
     else:
         raise ValueError("table number must be 2 or 3")
+    sizes = default if sizes is None else list(sizes)
+    if not sizes:
+        raise ValueError("no sizes given")
 
     rows = []
     summaries = []

@@ -212,6 +212,15 @@ class TestReproduceTables:
         with pytest.raises(ValueError):
             reproduce_tables(3, sizes=[10], trials=1)
 
+    @pytest.mark.parametrize("which", [2, 3])
+    def test_empty_size_list_is_refused(self, which, capsys):
+        # only None means the default sizes
+        with pytest.raises(ValueError, match="no sizes given"):
+            reproduce_tables(which, sizes=[])
+        for sizes in (",", ""):
+            assert main(["tables", "--which", str(which), "--sizes", sizes]) == 2
+            assert capsys.readouterr().err == "error: no sizes given\n"
+
 
 class TestTheoryCheck:
     def test_default_spec_passes(self):
@@ -317,6 +326,13 @@ class TestCli:
             code = main(args)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: objective")
+
+    @pytest.mark.parametrize("probes, decay", [("0", "50"), ("100", "0"), ("-5", "50")])
+    def test_check_without_probes_exit_two(self, probes, decay, capsys):
+        # an empty probe loop would report every check passed with slack inf
+        code = main(["check", "--level", "3", "--probes", probes, "--decay-probes", decay])
+        assert code == 2
+        assert "PASS" not in capsys.readouterr().out
 
     def test_check_passes_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
