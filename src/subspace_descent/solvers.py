@@ -220,6 +220,10 @@ def _general_part(d, i, hlocal, applied):
     A_i (k = 1) or A_i^{-1}, the local matrix of H and, under a banded H,
     the nonzero rows of H P_i and their k[i] values each."""
     at, basis = d.basis(i)
+    # A contiguous support under a banded H moves g and x through a view, not
+    # a gather; the dense H product would round differently on a view.
+    if applied is not None and (np.diff(at) == 1).all():
+        at = slice(int(at[0]), int(at[0]) + at.size)
     inverse = None if d.k[i] == 1 else d.local(i, (d.scalars, d.inverses))
     hloc = None if hlocal is None else d.local(i, hlocal)
     rows = hp = None
@@ -645,7 +649,7 @@ def _run_subspace(config, objective, decomposition, x, local_objectives, project
         # hands the batch to C, which steps up to where this loop has more
         # to do than such a step.
         batch = sampler.batch()
-        i = int(batch[0])
+        i = batch.item(0)
         if scalar[i]:
             record.reserve(k + batch.size)
             run.k, run.f, run.gn2, run.slack = k, f, gn2, slack
