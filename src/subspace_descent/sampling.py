@@ -104,7 +104,7 @@ class Sampler:
 
     def next_index(self):
         """Draw the next subspace index in ``{0, ..., J-1}``."""
-        index = int(self.batch()[0])
+        index = self.batch().item(0)
         self._cursor += 1
         return index
 
